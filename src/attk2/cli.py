@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__, gen, io, queries
 from .errors import CorruptFileError, InputError, NotFoundError
-from .graph import EDGE, NODE, build_graph
+from .graph import build_graph
 
 
 def _section_sizes(path) -> dict[int, int]:
@@ -53,55 +53,15 @@ def cmd_query(args) -> int:
     graph = io.load_db(args.db)
     ops = queries.parse_script(args.script)
     if args.dynamic:
-        bundle = _bundle_from_graph(graph)
+        bundle = io.export_bundle(
+            graph, graph.node_ids.external, graph.edge_ids.external
+        )
         runner = queries.replay_bundle(bundle, k=graph.k)
     else:
         runner = queries.StaticRunner(graph)
     for line in queries.run_script(runner, ops):
         print(line)
     return 0
-
-
-def _bundle_from_graph(graph) -> io.InputBundle:
-    """Reconstruct a text bundle from a loaded store (for dynamic replay)."""
-    node_schema = [
-        (label, graph.node_schema.attrs_of(label)) for label in graph.node_schema.labels
-    ]
-    edge_schema = [
-        (label, graph.edge_schema.attrs_of(label)) for label in graph.edge_schema.labels
-    ]
-
-    def element_attrs(kind, elem_id, label, schema):
-        out = []
-        for att, _dense in schema.attrs_of(label):
-            value = graph.get_attribute(kind, elem_id, att)
-            if isinstance(value, str):
-                out.append((att, value))
-        return out
-
-    nodes = []
-    for i in range(1, graph.node_schema.count + 1):
-        label = graph.node_schema.type_of(i)
-        ext = graph.node_ids.external(i)
-        nodes.append((ext, label, element_attrs(NODE, i, label, graph.node_schema)))
-    pair_of = {}
-    for eid, u, v in graph.relations.all_triples():
-        pair_of[eid] = (u, v)
-    edges = []
-    for i in range(1, graph.edge_schema.count + 1):
-        label = graph.edge_schema.type_of(i)
-        ext = graph.edge_ids.external(i)
-        u, v = pair_of[i]
-        edges.append(
-            (
-                ext,
-                label,
-                graph.node_ids.external(u),
-                graph.node_ids.external(v),
-                element_attrs(EDGE, i, label, graph.edge_schema),
-            )
-        )
-    return io.InputBundle(node_schema, edge_schema, nodes, edges)
 
 
 def cmd_gen(args) -> int:
@@ -207,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotFoundError, CorruptFileError, FileNotFoundError) as exc:
+    except (InputError, NotFoundError, CorruptFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .attrstore import DynDenseAttribute, DynSparseAttribute
 from .errors import InputError, NotFoundError
-from .graph import EDGE, NODE, UNDEFINED
+from .graph import EDGE, NODE, UNDEFINED, build_graph
+from .io import export_bundle
 from .multiedge import DynMultiEdge
 from .schema import DynTypeTable
 
@@ -226,37 +227,7 @@ class DynAttK2Graph:
         Dynamic ids become the external ids of the static store (as decimal
         strings); tombstoned elements are dropped.
         """
-        from .graph import build_graph
-        from .io import InputBundle
-
-        def side_schema(schema):
-            return [(label, schema.attrs_of(label)) for label in schema.label_list()]
-
-        def element_attrs(kind, elem_id, label):
-            out = []
-            for att, _dense in self._schema(kind).attrs_of(label):
-                value = self.get_attribute(kind, elem_id, att)
-                if isinstance(value, str):
-                    out.append((att, value))
-            return out
-
-        nodes = []
-        for i in range(1, self.node_schema.count + 1):
-            if i in self.dead_nodes:
-                continue
-            label = self.node_schema.type_of(i)
-            nodes.append((str(i), label, element_attrs(NODE, i, label)))
-        edges = []
-        for i in range(1, self.edge_schema.count + 1):
-            if i in self.dead_edges:
-                continue
-            label = self.edge_schema.type_of(i)
-            u, v = self.edge_endpoints[i - 1]
-            edges.append((str(i), label, str(u), str(v), element_attrs(EDGE, i, label)))
-        bundle = InputBundle(
-            side_schema(self.node_schema), side_schema(self.edge_schema), nodes, edges
-        )
-        return build_graph(bundle, k=self.k)
+        return build_graph(export_bundle(self, str, str), k=self.k)
 
     # -- internals --------------------------------------------------------------
 

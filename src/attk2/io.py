@@ -29,7 +29,7 @@ from pathlib import Path
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
 from .errors import CorruptFileError, InputError
-from .graph import AttK2Graph, IdMap
+from .graph import EDGE, NODE, AttK2Graph, IdMap
 from .k2 import K2Tree
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
@@ -251,6 +251,37 @@ def write_bundle(directory, bundle: InputBundle):
             ]
             cols += [f"{escape_field(a)}={escape_field(v)}" for a, v in attrs]
             fh.write("\t".join(cols) + "\n")
+
+
+def export_bundle(store, node_ext, edge_ext) -> InputBundle:
+    """The content of a static or dynamic store as a bundle.
+
+    node_ext/edge_ext map store ids to the external ids the bundle carries.
+    Absent values are left out, so `build_graph` on the result rebuilds the
+    same static store.
+    """
+    ends = {eid: (u, v) for eid, u, v in store.relations.all_triples()}
+
+    def side(kind, schema):
+        declared = [(label, schema.attrs_of(label)) for label in store.get_types(kind)]
+        rows = []
+        for label, atts in declared:
+            for i in store.scan(kind, label):
+                got = ((a, store.get_attribute(kind, i, a)) for a, _ in atts)
+                rows.append((i, label, [(a, v) for a, v in got if isinstance(v, str)]))
+        return declared, rows
+
+    node_schema, nodes = side(NODE, store.node_schema)
+    edge_schema, edges = side(EDGE, store.edge_schema)
+    return InputBundle(
+        node_schema,
+        edge_schema,
+        [(node_ext(i), label, attrs) for i, label, attrs in nodes],
+        [
+            (edge_ext(i), label, node_ext(ends[i][0]), node_ext(ends[i][1]), attrs)
+            for i, label, attrs in edges
+        ],
+    )
 
 
 def write_id_maps(path, graph: AttK2Graph):

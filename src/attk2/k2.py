@@ -98,33 +98,7 @@ class K2Tree:
 
     def cell(self, r: int, c: int) -> int:
         self._check_rc(r, c)
-        k = self.k
-        k2 = k * k
-        tw = self.T._words
-        tc = self.T._cum
-        tn = self.T.n
-        lw = self.L._words
-        size = self.n
-        r -= 1
-        c -= 1
-        pos = 0
-        while True:
-            size //= k
-            p = pos + (r // size) * k + (c // size)
-            if p >= tn:
-                p -= tn
-                return (lw[p >> 6] >> (p & 63)) & 1
-            if not (tw[p >> 6] >> (p & 63)) & 1:
-                return 0
-            r %= size
-            c %= size
-            p += 1
-            w = p >> 6
-            rem = p & 63
-            ones = tc[w]
-            if rem:
-                ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-            pos = ones * k2
+        return 1 if self._leaf_pos(r - 1, c - 1) >= 0 else 0
 
     def leaf_ordinal(self, r: int, c: int) -> int:
         """Ordinal (1-based, levelwise) of this cell's one among the leaf ones."""

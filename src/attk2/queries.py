@@ -14,46 +14,95 @@ from pathlib import Path
 from statistics import mean, median
 
 from .dyngraph import DynAttK2Graph
-from .errors import InputError
+from .errors import InputError, NotFoundError
 from .graph import EDGE, NODE, UNDEFINED, AttK2Graph
 from .io import InputBundle, unescape_field
 
-_ARITY = {
-    "GetNodeTypes": 0,
-    "GetEdgeTypes": 0,
-    "ScanNodes": 1,
-    "ScanEdges": 1,
-    "GetNodeType": 1,
-    "GetEdgeType": 1,
-    "GetNodeAttribute": 2,
-    "GetEdgeAttribute": 2,
-    "SelectNodes": 3,
-    "SelectEdges": 3,
-    "Neighbors": 2,
-    "Related": 2,
+
+def _selected(to_ext, ids):
+    return UNDEFINED if ids is UNDEFINED else list(map(to_ext, ids))
+
+
+# Operation name -> (arity, call). A call takes the runner and the operation's
+# arguments; the runner's four translators (external id -> store id and back)
+# are all that differs between the static and the dynamic store.
+_OPS = {
+    "GetNodeTypes": (0, lambda r, a: r.graph.get_types(NODE)),
+    "GetEdgeTypes": (0, lambda r, a: r.graph.get_types(EDGE)),
+    "ScanNodes": (1, lambda r, a: list(map(r._node_ext, r.graph.scan(NODE, a[0])))),
+    "ScanEdges": (1, lambda r, a: list(map(r._edge_ext, r.graph.scan(EDGE, a[0])))),
+    "GetNodeType": (1, lambda r, a: r.graph.get_type(NODE, r._node_int(a[0]))),
+    "GetEdgeType": (1, lambda r, a: r.graph.get_type(EDGE, r._edge_int(a[0]))),
+    "GetNodeAttribute": (
+        2,
+        lambda r, a: r.graph.get_attribute(NODE, r._node_int(a[0]), a[1]),
+    ),
+    "GetEdgeAttribute": (
+        2,
+        lambda r, a: r.graph.get_attribute(EDGE, r._edge_int(a[0]), a[1]),
+    ),
+    "SelectNodes": (
+        3,
+        lambda r, a: _selected(r._node_ext, r.graph.select(NODE, a[0], a[1], a[2])),
+    ),
+    "SelectEdges": (
+        3,
+        lambda r, a: _selected(r._edge_ext, r.graph.select(EDGE, a[0], a[1], a[2])),
+    ),
+    "Neighbors": (
+        2,
+        lambda r, a: list(map(r._node_ext, r.graph.neighbors(a[0], r._node_int(a[1])))),
+    ),
+    "Related": (
+        2,
+        lambda r, a: list(map(r._node_ext, r.graph.related(a[0], r._node_int(a[1])))),
+    ),
 }
 
 
 def parse_script(path) -> list[list[str]]:
     """Read a query script, checking operation names and arities."""
     ops = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = [unescape_field(f) for f in line.split("\t")]
-            op = fields[0]
-            arity = _ARITY.get(op)
-            if arity is None:
-                raise InputError(f"{path}:{lineno}: unknown operation {op!r}")
-            if len(fields) - 1 != arity:
-                raise InputError(
-                    f"{path}:{lineno}: {op} takes {arity} arguments, "
-                    f"got {len(fields) - 1}"
-                )
-            ops.append(fields)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: query script is not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = [unescape_field(f) for f in line.split("\t")]
+        op = fields[0]
+        entry = _OPS.get(op)
+        if entry is None:
+            raise InputError(f"{path}:{lineno}: unknown operation {op!r}")
+        if len(fields) - 1 != entry[0]:
+            raise InputError(
+                f"{path}:{lineno}: {op} takes {entry[0]} arguments, "
+                f"got {len(fields) - 1}"
+            )
+        ops.append(fields)
     return ops
+
+
+def _run(self, op, args):
+    entry = _OPS.get(op)
+    if entry is None:
+        raise InputError(f"unknown operation {op!r}")
+    return entry[1](self, args)
+
+
+def _internal(ids: dict):
+    """ext -> store id through `ids`, failing like `IdMap.internal`."""
+
+    def internal(ext):
+        iid = ids.get(ext)
+        if iid is None:
+            raise NotFoundError(f"unknown external id {ext!r}")
+        return iid
+
+    return internal
 
 
 class StaticRunner:
@@ -66,47 +115,15 @@ class StaticRunner:
         self._node_ext = graph.node_ids.external
         self._edge_ext = graph.edge_ids.external
 
-    def run(self, op, args):
-        g = self.graph
-        if op == "GetNodeTypes":
-            return g.get_types(NODE)
-        if op == "GetEdgeTypes":
-            return g.get_types(EDGE)
-        if op == "ScanNodes":
-            return [self._node_ext(i) for i in g.scan(NODE, args[0])]
-        if op == "ScanEdges":
-            return [self._edge_ext(i) for i in g.scan(EDGE, args[0])]
-        if op == "GetNodeType":
-            return g.get_type(NODE, self._node_int(args[0]))
-        if op == "GetEdgeType":
-            return g.get_type(EDGE, self._edge_int(args[0]))
-        if op == "GetNodeAttribute":
-            return g.get_attribute(NODE, self._node_int(args[0]), args[1])
-        if op == "GetEdgeAttribute":
-            return g.get_attribute(EDGE, self._edge_int(args[0]), args[1])
-        if op == "SelectNodes":
-            ids = g.select(NODE, args[0], args[1], args[2])
-            if ids is UNDEFINED:
-                return UNDEFINED
-            return [self._node_ext(i) for i in ids]
-        if op == "SelectEdges":
-            ids = g.select(EDGE, args[0], args[1], args[2])
-            if ids is UNDEFINED:
-                return UNDEFINED
-            return [self._edge_ext(i) for i in ids]
-        if op == "Neighbors":
-            return [
-                self._node_ext(i) for i in g.neighbors(args[0], self._node_int(args[1]))
-            ]
-        if op == "Related":
-            return [
-                self._node_ext(i) for i in g.related(args[0], self._node_int(args[1]))
-            ]
-        raise InputError(f"unknown operation {op!r}")
+    run = _run
 
 
 class DynamicRunner:
-    """Same operation surface over a dynamic store plus its external id maps."""
+    """Same operation surface over a dynamic store plus its external id maps.
+
+    Callers that add elements register their external ids by assigning into
+    the four dicts; translation reads them on every call.
+    """
 
     def __init__(self, graph: DynAttK2Graph, node_ids: dict, edge_ids: dict):
         self.graph = graph
@@ -114,44 +131,12 @@ class DynamicRunner:
         self.edge_ids = edge_ids
         self.node_ext = {v: k for k, v in node_ids.items()}
         self.edge_ext = {v: k for k, v in edge_ids.items()}
+        self._node_int = _internal(node_ids)
+        self._edge_int = _internal(edge_ids)
+        self._node_ext = self.node_ext.__getitem__
+        self._edge_ext = self.edge_ext.__getitem__
 
-    def run(self, op, args):
-        g = self.graph
-        if op == "GetNodeTypes":
-            return g.get_types(NODE)
-        if op == "GetEdgeTypes":
-            return g.get_types(EDGE)
-        if op == "ScanNodes":
-            return [self.node_ext[i] for i in g.scan(NODE, args[0])]
-        if op == "ScanEdges":
-            return [self.edge_ext[i] for i in g.scan(EDGE, args[0])]
-        if op == "GetNodeType":
-            return g.get_type(NODE, self.node_ids[args[0]])
-        if op == "GetEdgeType":
-            return g.get_type(EDGE, self.edge_ids[args[0]])
-        if op == "GetNodeAttribute":
-            return g.get_attribute(NODE, self.node_ids[args[0]], args[1])
-        if op == "GetEdgeAttribute":
-            return g.get_attribute(EDGE, self.edge_ids[args[0]], args[1])
-        if op == "SelectNodes":
-            ids = g.select(NODE, args[0], args[1], args[2])
-            if ids is UNDEFINED:
-                return UNDEFINED
-            return [self.node_ext[i] for i in ids]
-        if op == "SelectEdges":
-            ids = g.select(EDGE, args[0], args[1], args[2])
-            if ids is UNDEFINED:
-                return UNDEFINED
-            return [self.edge_ext[i] for i in ids]
-        if op == "Neighbors":
-            return [
-                self.node_ext[i] for i in g.neighbors(args[0], self.node_ids[args[1]])
-            ]
-        if op == "Related":
-            return [
-                self.node_ext[i] for i in g.related(args[0], self.node_ids[args[1]])
-            ]
-        raise InputError(f"unknown operation {op!r}")
+    run = _run
 
 
 def replay_bundle(

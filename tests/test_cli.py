@@ -137,6 +137,29 @@ def test_query_rejects_bad_script(tmp_path, fixture_dir, capsys):
     assert code == 1 and "unknown operation" in err
     script = _script(tmp_path, ["GetNodeType\t4\textra"])
     assert run(capsys, "query", "--db", str(db), "--script", str(script))[0] == 1
+    script.write_bytes(b"GetNodeType\t\xff\n")
+    code, _, err = run(capsys, "query", "--db", str(db), "--script", str(script))
+    assert code == 1 and str(script) in err and "UTF-8" in err
+    code, _, err = run(capsys, "query", "--db", str(db), "--script", str(tmp_path))
+    assert code == 1 and err.startswith("error: ")
+    code, _, err = run(capsys, "query", "--db", str(tmp_path), "--script", str(script))
+    assert code == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["GetNodeType\tnope", "GetEdgeAttribute\tnope\tExpertise", "Neighbors\tPaper\tnope"],
+    ids=lambda line: line.split("\t")[0],
+)
+@pytest.mark.parametrize("mode", [[], ["--dynamic"]], ids=["static", "dynamic"])
+def test_query_unknown_external_id_exits_one(tmp_path, fixture_dir, capsys, line, mode):
+    db = tmp_path / "ex.db"
+    run(capsys, "build", "--input", str(fixture_dir), "--output", str(db))
+    script = _script(tmp_path, [line])
+    code, out, err = run(capsys, "query", "--db", str(db), "--script", str(script), *mode)
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown external id 'nope'\n"
 
 
 def test_stats_running_example(tmp_path, fixture_dir, capsys):

@@ -195,3 +195,17 @@ def test_generator_output_round_trips(tmp_path):
     assert len(bundle.nodes) == 40
     assert len(bundle.edges) == 120
     build_graph(bundle)
+
+
+def test_export_rebuilds_the_same_store_file(tmp_path):
+    data = generate(
+        nodes=300, edges=900, node_types=3, edge_types=4, attrs=6, seed=7,
+        queries_per_kind=0,
+    )
+    g = build_graph(data.bundle)
+    original = tmp_path / "original.db"
+    io.save_db(g, original)
+    bundle = io.export_bundle(g, g.node_ids.external, g.edge_ids.external)
+    rebuilt = tmp_path / "rebuilt.db"
+    io.save_db(build_graph(bundle, k=g.k), rebuilt)
+    assert rebuilt.read_bytes() == original.read_bytes()
