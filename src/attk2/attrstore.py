@@ -40,7 +40,7 @@ class SparseAttribute:
             lex_index = filled + absent
         self.lex_index = lex_index
         # value-holding prefix length of lex_index; absents sort last
-        self.present = sum(1 for v in values if v is not None)
+        self.present = len(values) - values.count(None)
 
     def get(self, elem_id: int):
         pos = elem_id - self.limit

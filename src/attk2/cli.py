@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 from pathlib import Path
 
@@ -15,21 +14,17 @@ from .errors import CorruptFileError, InputError, NotFoundError
 from .graph import build_graph
 
 
-def _section_sizes(path) -> dict[int, int]:
-    """Tag -> payload length, straight from the file's section table."""
-    with open(path, "rb") as fh:
-        header = fh.read(len(io.MAGIC) + 8)
-        if len(header) < len(io.MAGIC) + 8 or header[: len(io.MAGIC)] != io.MAGIC:
-            raise CorruptFileError("bad magic")
-        (count,) = struct.unpack_from("<I", header, len(io.MAGIC) + 4)
-        table = fh.read(count * 20)
-    if len(table) < count * 20:
-        raise CorruptFileError("truncated section table")
-    sizes = {}
-    for i in range(count):
-        tag, _offset, length = struct.unpack_from("<IQQ", table, i * 20)
-        sizes[tag] = length
-    return sizes
+def _print_sizes(path) -> int:
+    """Print the byte sizes of a store file's layers, read from its section
+    table; returns the relations section's size."""
+    buf = Path(path).read_bytes()
+    sizes = {tag: length for tag, (_, length) in io.section_table(buf).items()}
+    rels = sizes[io.SEC_RELATIONS]
+    print(f"schema_bytes\t{sizes[io.SEC_NODE_SCHEMA] + sizes[io.SEC_EDGE_SCHEMA]}")
+    print(f"data_bytes\t{sizes[io.SEC_NODE_ATTRS] + sizes[io.SEC_EDGE_ATTRS]}")
+    print(f"relations_bytes\t{rels}")
+    print(f"total_bytes\t{len(buf)}")
+    return rels
 
 
 def cmd_build(args) -> int:
@@ -38,14 +33,7 @@ def cmd_build(args) -> int:
     out = Path(args.output)
     io.save_db(graph, out)
     io.write_id_maps(out.parent / "ids.tsv", graph)
-    sizes = _section_sizes(out)
-    schema = sizes[io.SEC_NODE_SCHEMA] + sizes[io.SEC_EDGE_SCHEMA]
-    data = sizes[io.SEC_NODE_ATTRS] + sizes[io.SEC_EDGE_ATTRS]
-    rels = sizes[io.SEC_RELATIONS]
-    print(f"schema_bytes\t{schema}")
-    print(f"data_bytes\t{data}")
-    print(f"relations_bytes\t{rels}")
-    print(f"total_bytes\t{out.stat().st_size}")
+    _print_sizes(out)
     return 0
 
 
@@ -93,18 +81,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    sizes = _section_sizes(args.db)
     graph = io.load_db(args.db)
-    schema = sizes[io.SEC_NODE_SCHEMA] + sizes[io.SEC_EDGE_SCHEMA]
-    data = sizes[io.SEC_NODE_ATTRS] + sizes[io.SEC_EDGE_ATTRS]
-    rels = sizes[io.SEC_RELATIONS]
+    rels = _print_sizes(args.db)
     edges = graph.edge_schema.count
     rel = graph.relations
     structure_bits = rel.base.bit_size + rel.multi.n
-    print(f"schema_bytes\t{schema}")
-    print(f"data_bytes\t{data}")
-    print(f"relations_bytes\t{rels}")
-    print(f"total_bytes\t{Path(args.db).stat().st_size}")
     print(f"nodes\t{graph.node_schema.count}")
     print(f"edges\t{edges}")
     if edges:

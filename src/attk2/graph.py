@@ -47,7 +47,9 @@ class IdMap:
 
     def __init__(self, externals_by_internal: list[str]):
         self.to_external = externals_by_internal
-        self.to_internal = {ext: i + 1 for i, ext in enumerate(externals_by_internal)}
+        self.to_internal = dict(
+            zip(externals_by_internal, range(1, len(externals_by_internal) + 1))
+        )
 
     def internal(self, ext: str) -> int:
         iid = self.to_internal.get(ext)

@@ -9,13 +9,20 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format: magic "ATTK2TRE", u32 LE version, then a section table
-(u32 count; per section u32 tag, u64 offset, u64 length) followed by the
-section payloads. All integers are little-endian; bitmaps use the shared wire
-form (u64 bit count + packed 64-bit words, LSB first within each word).
-Absent sparse values are encoded with the reserved length 2^64-1, keeping them
-distinct from genuine empty strings. The writer is deterministic, so saving a
-loaded store reproduces the file byte for byte.
+Binary format, version 2: magic "ATTK2TRE", u32 LE version, then a section
+table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
+section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
+before it, which the loader checks before parsing the section; the table's
+length includes these four bytes. All integers are little-endian; bitmaps use
+the shared wire form (u64 bit count + packed 64-bit words, LSB first within
+each word). Labels and attribute names are single strings (u64 byte length +
+UTF-8). Every string list (an id map, the values of one sparse attribute, the
+values of one dense column) is one string table: u64 count, count packed u32
+entries holding each string's length in code points plus one (0 marks an
+absent sparse value, so it stays distinct from ""), then u64 byte size and
+all present strings concatenated as one UTF-8 blob. The loader decodes each
+blob once and cuts it at the running sums of the lengths. The writer is
+deterministic, so saving a loaded store reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -23,20 +30,22 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
+from itertools import accumulate, compress, pairwise
+from operator import not_, sub
 from pathlib import Path
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
-from .errors import CorruptFileError, InputError
+from .errors import CorruptFileError, InputError, NotFoundError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
 from .k2 import K2Tree
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
 
 MAGIC = b"ATTK2TRE"
-VERSION = 1
-_ABSENT = (1 << 64) - 1
+VERSION = 2
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -167,9 +176,14 @@ def load_input(directory) -> InputBundle:
 def _read_tsv(path: Path):
     if not path.exists():
         raise InputError(f"missing input file {path}")
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise InputError(
+                    f"{path.name}:{lineno}: invalid UTF-8 at byte {exc.start}"
+                ) from None
             if not line:
                 continue
             yield lineno, line.split("\t")
@@ -310,11 +324,12 @@ class _Writer:
         self.u64(len(raw))
         self.parts.append(raw)
 
-    def maybe_text(self, s):
-        if s is None:
-            self.u64(_ABSENT)
-        else:
-            self.text(s)
+    def texts(self, values):
+        """One string table; None entries are written as absent."""
+        lengths = [0 if v is None else len(v) + 1 for v in values]
+        self.u64(len(values))
+        self.parts.append(struct.pack(f"<{len(values)}I", *lengths))
+        self.text("".join(filter(None, values)))
 
     def bits(self, bs: BitSequence):
         self.parts.append(bs.to_bytes())
@@ -352,16 +367,31 @@ class _Reader:
         if size > self.end - self.pos:
             raise CorruptFileError("truncated string")
         pos = self._take(size)
-        return self.buf[pos : pos + size].decode("utf-8")
+        try:
+            return str(self.buf[pos : pos + size], "utf-8")
+        except UnicodeDecodeError:
+            raise CorruptFileError("string is not valid UTF-8") from None
 
-    def maybe_text(self):
-        size = self.u64()
-        if size == _ABSENT:
-            return None
-        if size > self.end - self.pos:
-            raise CorruptFileError("truncated string")
-        pos = self._take(size)
-        return self.buf[pos : pos + size].decode("utf-8")
+    def texts(self, absent: bool = False) -> list:
+        """One string table; absent entries become None where `absent`
+        allows them and are corrupt elsewhere."""
+        count = self.u64()
+        if count > (self.end - self.pos) // 4:
+            raise CorruptFileError("truncated string table")
+        lengths = struct.unpack_from(f"<{count}I", self.buf, self._take(4 * count))
+        gaps = lengths.count(0)
+        if gaps and not absent:
+            raise CorruptFileError("absent entry in a list that must be complete")
+        blob = self.text()
+        # each present entry holds its code-point length + 1, each absent one 0
+        if sum(lengths) - (count - gaps) != len(blob):
+            raise CorruptFileError("string lengths do not match the string table")
+        stops = accumulate(map(sub, lengths, map(bool, lengths)), initial=0)
+        values = [blob[a:b] for a, b in pairwise(stops)]
+        if gaps:
+            for i in compress(range(count), map(not_, lengths)):
+                values[i] = None
+        return values
 
     def bits(self) -> BitSequence:
         n = self.u64()
@@ -442,9 +472,7 @@ def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
         w.text(label)
         w.text(att)
         w.u64(store.limit)
-        w.u64(len(store.values))
-        for value in store.values:
-            w.maybe_text(value)
+        w.texts(store.values)
         w.u64_array(store.lex_index)
     w.u32(1 if dense.matrix is not None else 0)
     if dense.matrix is not None:
@@ -453,30 +481,36 @@ def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
     for i, att in enumerate(dense.atts):
         w.text(att)
         w.u64(dense.col_limits[i])
-        values = dense.col_values[i]
-        w.u64(len(values))
-        for value in values:
-            w.text(value)
+        w.texts(dense.col_values[i])
 
 
-def _read_attrs(r: _Reader):
+def _read_attrs(r: _Reader, schema: TypeTable):
     sparse = {}
     for _ in range(r.u64()):
         label = r.text()
         att = r.text()
         limit = r.u64()
-        count = r.u64()
-        values = [r.maybe_text() for _ in range(count)]
+        values = r.texts(absent=True)
         lex = r.u64_array()
+        count = len(values)
         if len(lex) != count or (lex and max(lex) >= count):
             raise CorruptFileError("sparse index does not match value list")
+        try:
+            lo, hi = schema.ids_of(label)
+        except NotFoundError:
+            raise CorruptFileError(f"sparse attribute of unknown label {label!r}") from None
+        info = schema.attribute_info(label, att)
+        if info is None or info[1] or limit != lo or count != hi - lo + 1:
+            raise CorruptFileError(
+                f"sparse attribute {label}.{att} does not match its label's id range"
+            )
         sparse[(label, att)] = SparseAttribute(label, att, limit, values, lex)
     matrix = _read_k2(r) if r.u32() else None
     atts, limits, col_values = [], [], []
     for _ in range(r.u64()):
         atts.append(r.text())
         limits.append(r.u64())
-        col_values.append([r.text() for _ in range(r.u64())])
+        col_values.append(r.texts())
     if sum(len(v) for v in col_values) != (limits[-1] if limits else 0):
         raise CorruptFileError("dense column limits do not match value lists")
     return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values)
@@ -500,13 +534,14 @@ def _read_relations(r: _Reader) -> MultiEdgeK2Tree:
 
 
 def _write_id_map(w: _Writer, idmap: IdMap):
-    w.u64(len(idmap))
-    for ext in idmap.to_external:
-        w.text(ext)
+    w.texts(idmap.to_external)
 
 
 def _read_id_map(r: _Reader) -> IdMap:
-    return IdMap([r.text() for _ in range(r.u64())])
+    idmap = IdMap(r.texts())
+    if len(idmap.to_internal) != len(idmap):
+        raise CorruptFileError("id map holds a duplicate external id")
+    return idmap
 
 
 def save_db(graph: AttK2Graph, path):
@@ -527,7 +562,8 @@ def save_db(graph: AttK2Graph, path):
         else:
             _write_id_map(w, graph.node_ids)
             _write_id_map(w, graph.edge_ids)
-        sections.append((tag, w.getvalue()))
+        payload = w.getvalue()
+        sections.append((tag, payload + struct.pack("<I", zlib.crc32(payload))))
 
     header_len = len(MAGIC) + 4 + 4 + len(sections) * 20
     table = struct.pack("<I", len(sections))
@@ -553,16 +589,15 @@ def save_db(graph: AttK2Graph, path):
         raise
 
 
-def load_db(path) -> AttK2Graph:
-    """Load a serialized store, validating magic, version and section bounds."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+def section_table(buf: bytes) -> dict[int, tuple[int, int]]:
+    """Tag -> (offset, length) of every section of a store file's content,
+    after checking magic, version, table bounds and that no section is
+    missing or runs past the end."""
     if len(buf) < len(MAGIC) + 8 or buf[: len(MAGIC)] != MAGIC:
         raise CorruptFileError("bad magic")
-    (version,) = struct.unpack_from("<I", buf, len(MAGIC))
+    version, count = struct.unpack_from("<II", buf, len(MAGIC))
     if version != VERSION:
         raise CorruptFileError(f"unsupported version {version}")
-    (count,) = struct.unpack_from("<I", buf, len(MAGIC) + 4)
     table_start = len(MAGIC) + 8
     if table_start + count * 20 > len(buf):
         raise CorruptFileError("truncated section table")
@@ -575,10 +610,24 @@ def load_db(path) -> AttK2Graph:
     for tag in _SECTION_ORDER:
         if tag not in sections:
             raise CorruptFileError(f"missing section {tag}")
+    return sections
+
+
+def load_db(path) -> AttK2Graph:
+    """Load a serialized store, validating magic, version, section bounds and
+    checksums, and the structure the queries rely on."""
+    with open(path, "rb") as fh:
+        buf = memoryview(fh.read())  # slices of a view share the buffer
+    sections = section_table(buf)
 
     def reader(tag):
         offset, length = sections[tag]
-        return _Reader(buf, offset, offset + length)
+        end = offset + length - 4
+        if length < 4 or struct.unpack_from("<I", buf, end)[0] != zlib.crc32(
+            buf[offset:end]
+        ):
+            raise CorruptFileError(f"section {tag} fails its checksum")
+        return _Reader(buf, offset, end)
 
     r = reader(SEC_NODE_SCHEMA)
     node_schema = _read_schema(r)
@@ -587,10 +636,10 @@ def load_db(path) -> AttK2Graph:
     edge_schema = _read_schema(r)
     r.done()
     r = reader(SEC_NODE_ATTRS)
-    node_sparse, node_dense = _read_attrs(r)
+    node_sparse, node_dense = _read_attrs(r, node_schema)
     r.done()
     r = reader(SEC_EDGE_ATTRS)
-    edge_sparse, edge_dense = _read_attrs(r)
+    edge_sparse, edge_dense = _read_attrs(r, edge_schema)
     r.done()
     r = reader(SEC_RELATIONS)
     relations = _read_relations(r)

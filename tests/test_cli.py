@@ -43,6 +43,17 @@ def test_build_bad_input_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_build_non_utf8_input_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "schema.tsv").write_text("NODE\tA\tx:s\nEDGE\tR\n")
+    (bad / "nodes.tsv").write_bytes(b"n1\tA\tx=caf\xff\n")
+    (bad / "edges.tsv").write_text("")
+    code, _, err = run(capsys, "build", "--input", str(bad), "--output", str(tmp_path / "x.db"))
+    assert code == 1
+    assert err.startswith("error: nodes.tsv:1: ") and "UTF-8" in err
+
+
 def _script(tmp_path, lines):
     path = tmp_path / "script.tsv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -2,10 +2,12 @@
 
 import random
 import struct
+import zlib
 
 import pytest
 
-from attk2 import io
+from attk2 import io, queries
+from attk2.cli import main
 from attk2.errors import CorruptFileError, InputError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
@@ -209,3 +211,113 @@ def test_export_rebuilds_the_same_store_file(tmp_path):
     rebuilt = tmp_path / "rebuilt.db"
     io.save_db(build_graph(bundle, k=g.k), rebuilt)
     assert rebuilt.read_bytes() == original.read_bytes()
+
+
+def test_load_rejects_version_1(tmp_path, store, capsys):
+    path = tmp_path / "v1.db"
+    io.save_db(store, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, len(io.MAGIC), 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFileError, match="unsupported version 1"):
+        io.load_db(path)
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeTypes\n", encoding="utf-8")
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 1
+    assert capsys.readouterr().err == "error: unsupported version 1\n"
+
+
+def _patched(data: bytes, tag: int, at: int, raw: bytes) -> bytes:
+    """`data` with `raw` written at offset `at` of section `tag`'s payload
+    and that section's checksum recomputed."""
+    offset, length = io.section_table(data)[tag]
+    out = bytearray(data)
+    out[offset + at : offset + at + len(raw)] = raw
+    end = offset + length - 4
+    struct.pack_into("<I", out, end, zlib.crc32(out[offset:end]))
+    return bytes(out)
+
+
+def test_load_checks_sections_past_their_checksums(tmp_path, store):
+    path = tmp_path / "s.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # the id-map section opens with the node table: u64 count 5, five u32
+    # lengths (code points + 1), u64 byte size 5, blob "12345"
+    offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
+    assert struct.unpack_from("<Q5IQ5s", data, offset) == (5, 2, 2, 2, 2, 2, 5, b"12345")
+    blob = 8 + 5 * 4 + 8
+    # the node attributes open with the u64 number of sparse attributes;
+    # the first, Paper.Title, gives its two names and then its u64 limit
+    limit = 8 + (8 + len("Paper")) + (8 + len("Title"))
+    cases = {
+        "string lengths do not match": (io.SEC_ID_MAPS, 8, struct.pack("<I", 3)),
+        "not valid UTF-8": (io.SEC_ID_MAPS, blob, b"\xff"),
+        "absent entry": (io.SEC_ID_MAPS, 8, struct.pack("<II", 0, 3)),
+        "id range": (io.SEC_NODE_ATTRS, limit, struct.pack("<Q", 2)),
+        "duplicate external id": (io.SEC_ID_MAPS, blob, b"2"),
+    }
+    for message, (tag, at, raw) in cases.items():
+        path.write_bytes(_patched(data, tag, at, raw))
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path)
+    # a flipped blob byte with the old checksum left in place
+    flipped = bytearray(data)
+    flipped[offset + blob] ^= 0x80
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(CorruptFileError, match="checksum"):
+        io.load_db(path)
+
+
+def _all_answers(graph) -> list[str]:
+    """One answer line per call of each of the twelve operations, over every
+    label, element, attribute and stored value of the running example."""
+    runner = queries.StaticRunner(graph)
+    ops = [["GetNodeTypes"], ["GetEdgeTypes"]]
+    for ext, label, attrs in running_bundle().nodes:
+        ops += [["ScanNodes", label], ["GetNodeType", ext]]
+        for att, value in attrs:
+            ops += [["GetNodeAttribute", ext, att], ["SelectNodes", label, att, value]]
+        ops += [["Neighbors", lab, ext] for lab in ("Paper", "Researcher")]
+        ops += [["Related", lab, ext] for lab in ("Author", "Colleague", "Reviewer")]
+    for ext, label, _src, _tgt, attrs in running_bundle().edges:
+        ops += [["ScanEdges", label], ["GetEdgeType", ext]]
+        for att, value in attrs:
+            ops += [["GetEdgeAttribute", ext, att], ["SelectEdges", label, att, value]]
+    assert len({op[0] for op in ops}) == 12
+    return [queries.format_result(runner.run(op[0], op[1:])) for op in ops]
+
+
+def test_every_top_bit_flip_is_caught_or_harmless(tmp_path, store):
+    path = tmp_path / "f.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    want = _all_answers(io.load_db(path))
+    for i in range(len(data)):
+        flipped = bytearray(data)
+        flipped[i] ^= 0x80
+        path.write_bytes(bytes(flipped))
+        try:
+            graph = io.load_db(path)
+        except CorruptFileError:
+            continue
+        assert _all_answers(graph) == want, f"byte {i}"
+
+
+def test_round_trip_keeps_non_ascii_empty_and_absent_values(tmp_path):
+    bundle = running_bundle()
+    bundle.nodes[0] = ("1", "Paper", [("Title", "")])  # Topic absent
+    bundle.edges[3] = ("4", "Colleague", "4", "5", [("Projects", "")])
+    store = build_graph(bundle)
+    path = tmp_path / "v.db"
+    io.save_db(store, path)
+    first = path.read_bytes()
+    loaded = io.load_db(path)
+    assert loaded.get_attribute(NODE, 1, "Title") == ""
+    assert loaded.get_attribute(NODE, 1, "Topic") is None
+    assert loaded.get_attribute(NODE, 3, "Name") == "P. García"
+    assert loaded.get_attribute(NODE, 4, "University") == "Coruña"
+    assert loaded.get_attribute(EDGE, 4, "Projects") == ""
+    assert loaded.select(NODE, "Paper", "Title", "") == [1]
+    io.save_db(loaded, path)
+    assert path.read_bytes() == first
