@@ -5,8 +5,11 @@ A sparse attribute of a label is a value list indexed by ``id - limit + 1``
 value, so equality lookups are binary searches. Dense attributes of one kind
 share a single k²-tree whose rows are element ids and whose columns are value
 columns, grouped in per-attribute blocks; a one at (i, j) means element i
-takes the j-th column's value. Absent values are represented as None, which
-sorts after every real value in the secondary index.
+takes the j-th column's value. Beside the k²-tree, which answers row accesses,
+the same ones are kept column-major as value postings: one run of ascending
+element ids per column, so a select bisects its id range inside one run.
+Absent values are represented as None, which sorts after every real value in
+the secondary index.
 
 The dynamic counterparts keep one growable list per (label, attribute),
 indexed by each element's rank within its label, and one dynamic
@@ -15,7 +18,10 @@ k²-tree per dense attribute with columns appended in first-seen order.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import InputError
 from .k2 import DynK2Tree, K2Tree
@@ -37,7 +43,7 @@ class SparseAttribute:
                 key=lambda i: values[i].encode(),
             )
             absent = [i for i, v in enumerate(values) if v is None]
-            lex_index = filled + absent
+            lex_index = array("I", filled + absent)
         self.lex_index = lex_index
         # value-holding prefix length of lex_index; absents sort last
         self.present = len(values) - values.count(None)
@@ -51,18 +57,12 @@ class SparseAttribute:
         return self.values[pos]
 
     def select(self, value: str) -> list[int]:
-        """Ascending ids whose value equals `value` (bytewise comparison)."""
-        key = value.encode()
+        """Ascending ids whose value equals `value`."""
         idx = self.lex_index
         vals = self.values
         n = self.present
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if vals[idx[mid]].encode() < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        # str order is code-point order, which UTF-8 byte order preserves
+        lo = bisect_left(idx, value, 0, n, key=vals.__getitem__)
         out = []
         while lo < n and vals[idx[lo]] == value:
             out.append(idx[lo] + self.limit)
@@ -72,9 +72,13 @@ class SparseAttribute:
 
 
 class DenseAttributeMatrix:
-    """All dense attributes of one element kind, packed into one k²-tree."""
+    """All dense attributes of one element kind, packed into one k²-tree,
+    with the value postings of its columns.
 
-    __slots__ = ("matrix", "atts", "col_limits", "col_values", "_att_index")
+    Column c's postings are ``ids[offsets[c - 1]:offsets[c]]``: the element
+    ids taking that column's value, ascending."""
+
+    __slots__ = ("matrix", "atts", "col_limits", "col_values", "offsets", "ids", "_att_index")
 
     def __init__(
         self,
@@ -82,11 +86,15 @@ class DenseAttributeMatrix:
         atts: list[str],
         col_limits: list[int],
         col_values: list[list[str]],
+        offsets: array,
+        ids: array,
     ):
         self.matrix = matrix
         self.atts = atts
         self.col_limits = col_limits
         self.col_values = col_values
+        self.offsets = offsets
+        self.ids = ids
         self._att_index = {a: i for i, a in enumerate(atts)}
 
     @classmethod
@@ -119,10 +127,13 @@ class DenseAttributeMatrix:
             col_values.append(values)
             for elem_id, value in rows.items():
                 cells.append((elem_id, pos[value]))
-        if not cells:
-            return cls(None, atts, col_limits, col_values)
-        side = max(n_elements, total)
-        return cls(K2Tree.build(side, cells, k), atts, col_limits, col_values)
+        counts = [0] * (total + 1)
+        for _, col in cells:
+            counts[col] += 1
+        offsets = array("I", accumulate(counts))
+        ids = array("I", map(itemgetter(0), sorted(cells, key=itemgetter(1, 0))))
+        matrix = K2Tree.build(max(n_elements, total), cells, k) if cells else None
+        return cls(matrix, atts, col_limits, col_values, offsets, ids)
 
     def _block(self, att: str) -> tuple[int, int]:
         """Inclusive column range of the attribute's block."""
@@ -148,19 +159,16 @@ class DenseAttributeMatrix:
 
     def select(self, att: str, value: str, lo: int, hi: int) -> list[int]:
         """Ascending element ids in lo..hi taking `value` for the attribute."""
-        if self.matrix is None or att not in self._att_index:
+        if att not in self._att_index:
             return []
-        i = self._att_index[att]
-        values = self.col_values[i]
-        j = bisect_left(values, value.encode(), key=str.encode)
+        values = self.col_values[self._att_index[att]]
+        j = bisect_left(values, value)  # code-point order is UTF-8 byte order
         if j >= len(values) or values[j] != value:
             return []
-        c1, _ = self._block(att)
-        col = c1 + j
-        hi = min(hi, self.matrix.n_logical)
-        if lo > hi:
-            return []
-        return [row for row, _ in self.matrix.col_leaves(col, lo, hi)]
+        col = self._block(att)[0] + j
+        ids = self.ids
+        first = bisect_left(ids, lo, self.offsets[col - 1], self.offsets[col])
+        return ids[first : bisect_right(ids, hi, first, self.offsets[col])].tolist()
 
 
 class DynSparseAttribute:

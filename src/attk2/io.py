@@ -9,7 +9,7 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format, version 2: magic "ATTK2TRE", u32 LE version, then a section
+Binary format, version 3: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
 before it, which the loader checks before parsing the section; the table's
@@ -21,31 +21,46 @@ values of one dense column) is one string table: u64 count, count packed u32
 entries holding each string's length in code points plus one (0 marks an
 absent sparse value, so it stays distinct from ""), then u64 byte size and
 all present strings concatenated as one UTF-8 blob. The loader decodes each
-blob once and cuts it at the running sums of the lengths. The writer is
-deterministic, so saving a loaded store reproduces the file byte for byte.
+blob once and cuts it at the running sums of the lengths. A u32 array is a
+u64 count and the packed u32 values; the loader reads it into an
+`array('I')` in one copy. Sparse value-order indexes are u32 arrays, and each
+attrs section follows its dense k²-tree with the dense value postings as two
+u32 arrays: the columns + 1 run offsets and the element ids, column-major.
+The writer is deterministic, so saving a loaded store reproduces the file
+byte for byte. Version 1 and 2 files are rejected; rebuild them from text.
+
+Beyond the checksums, load checks in O(size) the structure the queries rely
+on: each k²-tree's side is the padded side of its logical size and
+|T| + |L| = k²·(1 + ones(T)); dense column values ascend bytewise; the
+postings' offsets never decrease and end at the number of ids, which equals
+the dense k²-tree's ones; each run ascends strictly inside 1..n_logical and
+no id repeats inside one attribute's block; sparse ranges match their labels
+and id maps hold no duplicate.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import sys
 import tempfile
 import zlib
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress, pairwise
-from operator import not_, sub
+from operator import le, lt, not_, sub
 from pathlib import Path
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
 from .errors import CorruptFileError, InputError, NotFoundError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
-from .k2 import K2Tree
+from .k2 import K2Tree, _padded_side
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
 
 MAGIC = b"ATTK2TRE"
-VERSION = 2
+VERSION = 3
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -339,6 +354,13 @@ class _Writer:
         if values:
             self.parts.append(struct.pack(f"<{len(values)}Q", *values))
 
+    def u32_array(self, values: array):
+        self.u64(len(values))
+        if sys.byteorder == "big":
+            values = array("I", values)
+            values.byteswap()
+        self.parts.append(values.tobytes())
+
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -409,6 +431,17 @@ class _Reader:
         pos = self._take(8 * count)
         return list(struct.unpack_from(f"<{count}Q", self.buf, pos))
 
+    def u32_array(self) -> array:
+        count = self.u64()
+        if count > (self.end - self.pos) // 4:
+            raise CorruptFileError("truncated array")
+        pos = self._take(4 * count)
+        out = array("I")
+        out.frombytes(self.buf[pos : pos + 4 * count])
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
+
     def done(self):
         if self.pos != self.end:
             raise CorruptFileError("trailing bytes in section")
@@ -460,7 +493,8 @@ def _read_k2(r: _Reader) -> K2Tree:
     n_logical = r.u64()
     t = r.bits()
     l = r.bits()
-    if k < 2 or (t.n + l.n) % (k * k):
+    # the root block and one block per one of T, k² bits each
+    if k < 2 or n != _padded_side(n_logical, k) or t.n + l.n != k * k * (1 + t.ones):
         raise CorruptFileError("malformed k2-tree payload")
     return K2Tree(k, n, n_logical, t, l)
 
@@ -473,10 +507,12 @@ def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
         w.text(att)
         w.u64(store.limit)
         w.texts(store.values)
-        w.u64_array(store.lex_index)
+        w.u32_array(store.lex_index)
     w.u32(1 if dense.matrix is not None else 0)
     if dense.matrix is not None:
         _write_k2(w, dense.matrix)
+    w.u32_array(dense.offsets)
+    w.u32_array(dense.ids)
     w.u64(len(dense.atts))
     for i, att in enumerate(dense.atts):
         w.text(att)
@@ -491,7 +527,7 @@ def _read_attrs(r: _Reader, schema: TypeTable):
         att = r.text()
         limit = r.u64()
         values = r.texts(absent=True)
-        lex = r.u64_array()
+        lex = r.u32_array()
         count = len(values)
         if len(lex) != count or (lex and max(lex) >= count):
             raise CorruptFileError("sparse index does not match value list")
@@ -506,14 +542,44 @@ def _read_attrs(r: _Reader, schema: TypeTable):
             )
         sparse[(label, att)] = SparseAttribute(label, att, limit, values, lex)
     matrix = _read_k2(r) if r.u32() else None
+    offsets = r.u32_array()
+    ids = r.u32_array()
     atts, limits, col_values = [], [], []
     for _ in range(r.u64()):
         atts.append(r.text())
         limits.append(r.u64())
         col_values.append(r.texts())
-    if sum(len(v) for v in col_values) != (limits[-1] if limits else 0):
+    if limits != list(accumulate(map(len, col_values))):
         raise CorruptFileError("dense column limits do not match value lists")
-    return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values)
+    for values in col_values:  # str order is UTF-8 byte order
+        if not all(map(lt, values, values[1:])):
+            raise CorruptFileError("dense column values are not in ascending order")
+    _check_postings(offsets, ids, [0, *limits], matrix)
+    return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values, offsets, ids)
+
+
+def _check_postings(offsets: array, ids: array, bounds: list[int], matrix):
+    """Check the value postings against the column layout and the k²-tree:
+    `bounds` holds 0 and every attribute's last column."""
+    ones = matrix.L.ones if matrix is not None else 0
+    if (
+        len(offsets) != bounds[-1] + 1
+        or offsets[0] != 0
+        or not all(map(le, offsets, offsets[1:]))
+        or offsets[-1] != len(ids)
+        or len(ids) != ones
+    ):
+        raise CorruptFileError("dense postings do not match the dense columns")
+    if ids and (min(ids) < 1 or max(ids) > matrix.n_logical):
+        raise CorruptFileError("dense posting outside the element range")
+    for a, b in pairwise(offsets):
+        run = ids[a:b]
+        if not all(map(lt, run, run[1:])):
+            raise CorruptFileError("dense postings are not in ascending order")
+    for first, last in pairwise(bounds):
+        a, b = offsets[first], offsets[last]
+        if len(set(ids[a:b])) != b - a:
+            raise CorruptFileError("element takes two values of one dense attribute")
 
 
 def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):

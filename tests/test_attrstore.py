@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from attk2 import io
 from attk2.attrstore import (
     DenseAttributeMatrix,
     DynDenseAttribute,
@@ -11,6 +12,11 @@ from attk2.attrstore import (
     SparseAttribute,
 )
 from attk2.errors import InputError
+from attk2.gen import generate
+from attk2.graph import EDGE, NODE, build_graph
+from attk2.oracle import NaiveStore
+
+from conftest import running_bundle
 
 
 @pytest.fixture
@@ -55,6 +61,20 @@ def test_sparse_duplicates_across_ids():
         assert sa.select(v) == [i + 10 for i, x in enumerate(values) if x == v]
     for i, v in enumerate(values):
         assert sa.get(i + 10) == v
+
+
+def test_selects_find_values_from_every_utf8_length():
+    # one- to four-byte characters: the stores sort values bytewise and
+    # search them in code-point order, which must agree
+    rng = random.Random(11)
+    chars = ["a", "z", "\u00e9", "\u00ff", "\u20ac", "\ufffd", "\U0001f600", "\U0010ffff"]
+    values = ["".join(rng.choices(chars, k=rng.randint(0, 3))) for _ in range(200)]
+    sparse = SparseAttribute("L", "a", 1, values)
+    dense = DenseAttributeMatrix.build(200, [(i + 1, "a", v) for i, v in enumerate(values)])
+    for value in set(values) | {"b", "\U0001f601"}:
+        want = [i + 1 for i, v in enumerate(values) if v == value]
+        assert sparse.select(value) == want
+        assert dense.select("a", value, 1, 200) == want
 
 
 @pytest.fixture
@@ -194,3 +214,53 @@ def test_dyn_dense_replay_against_mapping():
         for elem in range(1, 121):
             hits = store.tree.row_leaves(elem, 1, store.tree.n) if elem <= store.tree.n else []
             assert len(hits) <= 1
+
+
+def _gen_bundle(seed):
+    return generate(
+        nodes=2000, edges=5000, node_types=4, edge_types=5, attrs=8, seed=seed,
+        queries_per_kind=0,
+    ).bundle
+
+
+@pytest.mark.parametrize("seed", [None, 7, 11], ids=["running", "gen7", "gen11"])
+def test_postings_equal_column_walks_after_build_and_load(tmp_path, seed):
+    built = build_graph(running_bundle() if seed is None else _gen_bundle(seed))
+    path = tmp_path / "p.db"
+    io.save_db(built, path)
+    for graph in (built, io.load_db(path)):
+        for dense in (graph.node_dense, graph.edge_dense):
+            m = dense.matrix
+            columns = dense.col_limits[-1]
+            assert len(dense.offsets) == columns + 1
+            for col in range(1, columns + 1):
+                run = dense.ids[dense.offsets[col - 1] : dense.offsets[col]]
+                assert run.tolist() == [row for row, _ in m.col_leaves(col, 1, m.n_logical)]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_dense_selects_on_label_boundaries_match_the_oracle(seed):
+    bundle = _gen_bundle(seed)
+    graph = build_graph(bundle)
+    naive = NaiveStore.from_bundle(bundle)
+    touched = 0
+    for kind, schema, dense in (
+        (NODE, graph.node_schema, graph.node_dense),
+        (EDGE, graph.edge_schema, graph.edge_dense),
+    ):
+        labels = graph.get_types(kind)
+        for label in labels:
+            ids = graph.scan(kind, label)
+            for att in (a for a, is_dense in schema.attrs_of(label) if is_dense):
+                for value in dense.col_values[dense.atts.index(att)] + ["no such value"]:
+                    got = graph.select(kind, label, att, value)
+                    assert got == naive.select(kind, label, att, value)
+                    touched += bool(got) and (got[0] == ids[0] or got[-1] == ids[-1])
+        # windows that straddle two neighbouring labels, one id on each side
+        for left, right in zip(labels, labels[1:]):
+            lo, hi = graph.scan(kind, left)[-1], graph.scan(kind, right)[0]
+            for att in dense.atts:
+                for value in dense.col_values[dense.atts.index(att)]:
+                    want = [e for e in (lo, hi) if naive.get_attribute(kind, e, att) == value]
+                    assert dense.select(att, value, lo, hi) == want
+    assert touched  # some answers start or end on their label's boundary

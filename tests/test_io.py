@@ -7,10 +7,12 @@ import zlib
 import pytest
 
 from attk2 import io, queries
+from attk2.bits import BitSequence
 from attk2.cli import main
 from attk2.errors import CorruptFileError, InputError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
+from attk2.k2 import K2Tree
 
 from conftest import running_bundle
 
@@ -216,15 +218,16 @@ def test_export_rebuilds_the_same_store_file(tmp_path):
 def test_load_rejects_version_1(tmp_path, store, capsys):
     path = tmp_path / "v1.db"
     io.save_db(store, path)
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<I", data, len(io.MAGIC), 1)
-    path.write_bytes(bytes(data))
-    with pytest.raises(CorruptFileError, match="unsupported version 1"):
-        io.load_db(path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeTypes\n", encoding="utf-8")
-    assert main(["query", "--db", str(path), "--script", str(script)]) == 1
-    assert capsys.readouterr().err == "error: unsupported version 1\n"
+    for version in (1, 2):
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, len(io.MAGIC), version)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFileError, match=f"unsupported version {version}"):
+            io.load_db(path)
+        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
+        assert capsys.readouterr().err == f"error: unsupported version {version}\n"
 
 
 def _patched(data: bytes, tag: int, at: int, raw: bytes) -> bytes:
@@ -267,6 +270,80 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
     path.write_bytes(bytes(flipped))
     with pytest.raises(CorruptFileError, match="checksum"):
         io.load_db(path)
+
+
+def test_load_rejects_a_dense_column_out_of_order(tmp_path, store):
+    path = tmp_path / "d.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # Position's string table: u64 count 2, u32 lengths (code points + 1),
+    # u64 blob size 13, blob; swap the two values and their lengths
+    table = struct.pack("<Q2IQ", 2, 6, 9, 13) + b"ChairLecturer"
+    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
+    at = data.index(table, offset) - offset
+    swapped = struct.pack("<Q2IQ", 2, 9, 6, 13) + b"LecturerChair"
+    path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, swapped))
+    with pytest.raises(CorruptFileError, match="dense column values"):
+        io.load_db(path)
+
+
+def test_load_rejects_a_k2_tree_of_the_wrong_side(tmp_path, store, capsys):
+    path = tmp_path / "k.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # the relations section opens with its k²-tree: u32 k, u64 n, u64 n_logical
+    offset, _ = io.section_table(data)[io.SEC_RELATIONS]
+    assert struct.unpack_from("<IQQ", data, offset) == (2, 8, 5)
+    script = tmp_path / "script.tsv"
+    script.write_text("Neighbors\tPaper\t3\n", encoding="utf-8")
+    for n in (4, 6, 16):
+        path.write_bytes(_patched(data, io.SEC_RELATIONS, 4, struct.pack("<Q", n)))
+        with pytest.raises(CorruptFileError, match="malformed k2-tree"):
+            io.load_db(path)
+        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
+        assert capsys.readouterr() == ("", "error: malformed k2-tree payload\n")
+
+
+@pytest.mark.parametrize("side, cells", [(0, []), (5, []), (5, [(1, 2), (4, 5)]), (9, [(9, 1)])])
+def test_k2_tree_bitmap_sizes_are_checked(side, cells):
+    tree = K2Tree.build(side, cells)
+    w = io._Writer()
+    io._write_k2(w, tree)
+    back = io._read_k2(io._Reader(w.getvalue()))
+    assert (back.n, back.T.to_bits(), back.L.to_bits()) == (
+        tree.n, tree.T.to_bits(), tree.L.to_bits()
+    )
+    # one more bit in T, or one one of T fewer, breaks |T| + |L| = k²(1 + ones(T))
+    bits = tree.T.to_bits()
+    for t in (bits + [0], [0] * len(bits)):
+        if t == bits:
+            continue
+        w = io._Writer()
+        io._write_k2(w, K2Tree(tree.k, tree.n, tree.n_logical, BitSequence(t), tree.L))
+        with pytest.raises(CorruptFileError, match="malformed k2-tree"):
+            io._read_k2(io._Reader(w.getvalue()))
+
+
+def test_load_checks_the_dense_postings(tmp_path, store):
+    path = tmp_path / "p.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # Position's postings follow the node k²-tree: run offsets 0, 2, 3 and
+    # ids 4 5 (Chair) and 3 (Lecturer), each array a u64 count and u32 values
+    postings = struct.pack("<Q3IQ3I", 3, 0, 2, 3, 3, 4, 5, 3)
+    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
+    at = data.index(postings, offset) - offset
+    cases = {
+        "not in ascending order": (0, 2, 3, 5, 4, 3),  # a swapped run
+        "do not match the dense columns": (0, 2, 4, 4, 5, 3),  # an offset past the end
+        "outside the element range": (0, 2, 3, 4, 5, 6),
+        "two values": (0, 2, 3, 4, 5, 4),
+    }
+    for message, (o0, o1, o2, i0, i1, i2) in cases.items():
+        raw = struct.pack("<Q3IQ3I", 3, o0, o1, o2, 3, i0, i1, i2)
+        path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, raw))
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path)
 
 
 def _all_answers(graph) -> list[str]:
