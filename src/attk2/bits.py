@@ -8,7 +8,9 @@ over a small integer alphabet.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
-position of the j-th one.
+position of the j-th one. ``access_rank(i)`` returns ``(access(i), rank1(i))``
+and locates i once; the k²-tree descents and the wavelet tree read bits
+through it.
 """
 
 from __future__ import annotations
@@ -94,6 +96,14 @@ class BitSequence:
             return self._cum[w] + (self._words[w] & ((1 << r) - 1)).bit_count()
         return self._cum[w]
 
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(access(i), rank1(i)) for a position i in 1..n, locating i once."""
+        if not 1 <= i <= self.n:
+            raise IndexError(f"bit position {i} out of range 1..{self.n}")
+        w, r = divmod(i - 1, 64)
+        word = self._words[w]
+        return (word >> r) & 1, self._cum[w] + (word & ((2 << r) - 1)).bit_count()
+
     def select1(self, j: int) -> int:
         """Position of the j-th one (1-based)."""
         if j < 1 or j > self.ones:
@@ -132,7 +142,7 @@ class BitSequence:
         nwords = (n + 63) // 64
         if offset + 8 * nwords > len(buf):
             raise CorruptFileError("truncated bit sequence payload")
-        words = list(struct.unpack_from(f"<{nwords}Q", buf, offset))
+        words = struct.unpack_from(f"<{nwords}Q", buf, offset)
         if n % 64 and words and words[-1] >> (n % 64):
             raise CorruptFileError("bit sequence has nonzero padding bits")
         return cls.from_words(words, n), offset + 8 * nwords
@@ -368,6 +378,14 @@ class DynBitSequence:
         ci, q, _ = self._locate(p)
         return (self._chunks[ci] >> q) & 1
 
+    def access_rank(self, p: int) -> tuple[int, int]:
+        """(access(p), rank1(p)) for a position p in 1..n, locating p once."""
+        if not 1 <= p <= self.n:
+            raise IndexError(f"bit position {p} out of range 1..{self.n}")
+        ci, q, _ = self._locate(p)
+        chunk = self._chunks[ci]
+        return (chunk >> q) & 1, self._fones.prefix(ci) + (chunk & ((2 << q) - 1)).bit_count()
+
     def rank1(self, i: int) -> int:
         """Number of ones in positions 1..i."""
         if i < 0 or i > self.n:
@@ -502,8 +520,8 @@ class DynSequence:
         lo, hi = 0, self._cap
         while hi - lo > 1:
             mid = (lo + hi) >> 1
-            ones = node.bits.rank1(p)
-            if node.bits.access(p):
+            bit, ones = node.bits.access_rank(p)
+            if bit:
                 p = ones
                 node = node.right
                 lo = mid

@@ -18,9 +18,9 @@ the clustered adjacency blocks the tree representation is built for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 from .io import InputBundle, escape_field, write_bundle
@@ -76,8 +76,7 @@ QUERY_KINDS = (
 )
 
 
-@dataclass
-class GeneratedData:
+class GeneratedData(NamedTuple):
     bundle: InputBundle
     scripts: dict[str, list[list[str]]]  # script name -> rows of fields
 

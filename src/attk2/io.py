@@ -46,10 +46,10 @@ import sys
 import tempfile
 import zlib
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, pairwise
 from operator import le, lt, not_, sub
 from pathlib import Path
+from typing import NamedTuple
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
@@ -79,8 +79,7 @@ _SECTION_ORDER = (
 )
 
 
-@dataclass
-class InputBundle:
+class InputBundle(NamedTuple):
     """Parsed and validated text input.
 
     node_schema/edge_schema: [(label, [(att, dense flag)...])...]
@@ -416,13 +415,8 @@ class _Reader:
         return values
 
     def bits(self) -> BitSequence:
-        n = self.u64()
-        nwords = (n + 63) // 64
-        pos = self._take(8 * nwords)
-        words = list(struct.unpack_from(f"<{nwords}Q", self.buf, pos))
-        if n % 64 and words and words[-1] >> (n % 64):
-            raise CorruptFileError("bit sequence has nonzero padding bits")
-        return BitSequence.from_words(words, n)
+        bs, self.pos = BitSequence.from_bytes(self.buf[: self.end], self.pos)
+        return bs
 
     def u64_array(self) -> list[int]:
         count = self.u64()
@@ -589,13 +583,27 @@ def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):
     w.u64_array(rel.more)
 
 
-def _read_relations(r: _Reader) -> MultiEdgeK2Tree:
+_IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
+_IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _read_relations(r: _Reader, edges: int) -> MultiEdgeK2Tree:
+    """Read the relations of a store with `edges` edges, checking that every
+    leaf's ids lie in 1..edges and that the multi runs tile More."""
     base = _read_k2(r)
     multi = r.bits()
     last = r.u64_array()
     more = r.u64_array()
     if multi.n != base.L.ones or len(last) != multi.n:
         raise CorruptFileError("relations auxiliary arrays do not match leaf count")
+    # one "0" or "1" byte per leaf, spelled out from the Multi words
+    flags = "".join(f"{w:064b}"[::-1] for w in multi._words)[: multi.n].encode()
+    bounds = [0, *compress(last, flags.translate(_IS_ONE))]  # 0, then the run ends
+    if bounds[-1] != len(more) or not all(map(lt, bounds, bounds[1:])):
+        raise CorruptFileError("multi-edge runs do not tile the More array")
+    for ids in (list(compress(last, flags.translate(_IS_ZERO))), more):
+        if ids and (min(ids) < 1 or max(ids) > edges):
+            raise CorruptFileError(f"edge id outside 1..{edges} in the relations")
     return MultiEdgeK2Tree(base, multi, last, more)
 
 
@@ -708,7 +716,7 @@ def load_db(path) -> AttK2Graph:
     edge_sparse, edge_dense = _read_attrs(r, edge_schema)
     r.done()
     r = reader(SEC_RELATIONS)
-    relations = _read_relations(r)
+    relations = _read_relations(r, edge_schema.count)
     r.done()
     r = reader(SEC_ID_MAPS)
     node_ids = _read_id_map(r)

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .bits import BitSequence
 from .errors import InputError, NotFoundError
-from .k2 import DynK2Tree, K2Tree
+from .k2 import DynK2Tree, K2Tree, _leaf_pos
 
 
 class MultiEdgeK2Tree:
@@ -49,14 +49,12 @@ class MultiEdgeK2Tree:
             if not (1 <= o <= n_nodes and 1 <= t <= n_nodes):
                 raise InputError(f"edge {eid} endpoint ({o}, {t}) outside 1..{n_nodes}")
             by_pair.setdefault((o, t), []).append(eid)
-        base = K2Tree.build(n_nodes, by_pair.keys(), k)
-        slots: list[list[int]] = [None] * len(by_pair)
-        for (o, t), ids in by_pair.items():
-            slots[base.leaf_ordinal(o, t) - 1] = sorted(ids)
+        base, order = K2Tree.build_with_order(n_nodes, by_pair.keys(), k)
         multi_bits = []
         last = []
         more = []
-        for ids in slots:
+        for pair in order:
+            ids = sorted(by_pair[pair])
             if len(ids) == 1:
                 multi_bits.append(0)
                 last.append(ids[0])
@@ -93,7 +91,7 @@ class MultiEdgeK2Tree:
         n = self.base.n_logical
         if not (1 <= u <= n and 1 <= v <= n):
             raise IndexError(f"node pair ({u}, {v}) outside 1..{n}")
-        pos = self.base._leaf_pos(u - 1, v - 1)
+        pos = _leaf_pos(self.base, u - 1, v - 1)
         if pos < 0:
             return []
         return self._ids_at(self.base.L.rank1(pos + 1))
@@ -201,7 +199,7 @@ class DynMultiEdge:
         """Delete edge eid from (u, v), clearing the cell if its list empties."""
         if not (1 <= u <= self.base.n and 1 <= v <= self.base.n):
             raise NotFoundError(f"edge {eid} not present at ({u}, {v})")
-        pos = self.base._leaf_pos(u - 1, v - 1)
+        pos = _leaf_pos(self.base, u - 1, v - 1)
         if pos < 0:
             raise NotFoundError(f"edge {eid} not present at ({u}, {v})")
         ordinal = self.base.L.rank1(pos + 1)
@@ -217,7 +215,7 @@ class DynMultiEdge:
     def edges_between(self, u: int, v: int) -> list[int]:
         if not (1 <= u <= self.base.n and 1 <= v <= self.base.n):
             return []
-        pos = self.base._leaf_pos(u - 1, v - 1)
+        pos = _leaf_pos(self.base, u - 1, v - 1)
         if pos < 0:
             return []
         return sorted(self.lists[self.base.L.rank1(pos + 1) - 1])
@@ -256,8 +254,7 @@ class DynMultiEdge:
         out = []
         rank = self.base.L.rank1
         n = self.base.n
-        for r, c in self.base.range(1, n, 1, n):
-            pos = self.base._leaf_pos(r - 1, c - 1)
-            for eid in sorted(self.lists[rank(pos + 1) - 1]):
+        for r, c, q in self.base.range_leaves(1, n, 1, n):
+            for eid in sorted(self.lists[rank(q + 1) - 1]):
                 out.append((eid, r, c))
         return out

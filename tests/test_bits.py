@@ -175,6 +175,39 @@ def test_dyn_runs():
         d.remove_run(2, 2)
 
 
+def _check_access_rank(seq):
+    ones = 0
+    for p in range(1, seq.n + 1):
+        bit = seq.access(p)
+        ones += bit
+        assert seq.access_rank(p) == (bit, ones) == (bit, seq.rank1(p))
+    for p in (0, seq.n + 1):
+        with pytest.raises(IndexError):
+            seq.access_rank(p)
+
+
+def test_access_rank_equals_access_and_rank():
+    rng = random.Random(0xAC)
+    for n in (0, 1, 63, 64, 65, 1000):
+        _check_access_rank(BitSequence(_random_bits(rng, n)))
+    # 5,000 bits make three chunks; the inserts split the middle one, and the
+    # run removal empties and drops the first
+    d = DynBitSequence(_random_bits(rng, 5000))
+    chunks = len(d._chunks)
+    _check_access_rank(d)
+    for _ in range(2100):
+        d.insert(rng.randint(2049, 4096), rng.randint(0, 1))
+    d.insert_zeros(3000, 500)
+    assert len(d._chunks) > chunks
+    _check_access_rank(d)
+    chunks = len(d._chunks)
+    d.remove_run(1, d._lens[0])
+    for _ in range(300):
+        d.remove(rng.randint(1, d.n))
+    assert len(d._chunks) < chunks
+    _check_access_rank(d)
+
+
 def test_dyn_sequence_examples():
     s = DynSequence()
     for i, sym in enumerate((0, 1, 0, 1)):  # "abab"

@@ -346,6 +346,36 @@ def test_load_checks_the_dense_postings(tmp_path, store):
             io.load_db(path)
 
 
+def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
+    path = tmp_path / "r.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # Last (u64 count 6, then u64 values) and More follow the Multi bitmap
+    # 000100: leaf 3 holds edges 4 and 5 from node 4 to 5, so its Last entry
+    # is the end of its run in More; the others are single edge ids
+    arrays = struct.pack("<7Q3Q", 6, 1, 6, 7, 2, 2, 3, 2, 4, 5)
+    offset, _ = io.section_table(data)[io.SEC_RELATIONS]
+    at = data.index(arrays, offset) - offset
+    script = tmp_path / "script.tsv"
+    script.write_text("Related\tColleague\t4\nRelated\tAuthor\t3\n", encoding="utf-8")
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "5\n1\n"
+    cases = [
+        ("do not tile", 3 * 8 + 8, 99),  # a run past the end of More
+        ("do not tile", 3 * 8 + 8, 1),  # a run short of the end of More
+        ("outside 1..7", 0 * 8 + 8, 0),  # a single edge id of 0
+        ("outside 1..7", 0 * 8 + 8, 99),  # a single edge id past the edges
+        ("outside 1..7", 7 * 8 + 8 + 8, 8),  # an id in More past the edges
+    ]
+    for message, field, value in cases:
+        path.write_bytes(_patched(data, io.SEC_RELATIONS, at + field, struct.pack("<Q", value)))
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path)
+        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+
 def _all_answers(graph) -> list[str]:
     """One answer line per call of each of the twelve operations, over every
     label, element, attribute and stored value of the running example."""

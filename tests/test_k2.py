@@ -198,18 +198,52 @@ def test_dyn_replay_against_matrix():
     assert d.L.to_bits() == static.L.to_bits()
 
 
-def test_dyn_matches_static_for_k3():
-    rng = random.Random(27)
-    d = DynK2Tree(27, k=3)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dyn_matches_static(k):
+    """Random sets and clears, then every traversal of the dynamic tree
+    against the static tree built from the cells left."""
+    rng = random.Random(27 + k)
+    n = k ** 3 + 1  # padded to k⁴: three internal levels
+    d = DynK2Tree(n, k=k)
     cells = set()
-    for _ in range(300):
-        r, c = rng.randint(1, 27), rng.randint(1, 27)
-        d.set(r, c)
-        cells.add((r, c))
-    static = K2Tree.build(27, cells, 3)
-    assert d.range(1, 27, 1, 27) == static.range(1, 27, 1, 27)
-    for r in range(1, 28):
+    for _ in range(400):
+        r, c = rng.randint(1, n), rng.randint(1, n)
+        if rng.random() < 0.7:
+            d.set(r, c)
+            cells.add((r, c))
+        else:
+            d.clear(r, c)
+            cells.discard((r, c))
+    static = K2Tree.build(n, cells, k)
+    assert d.T.to_bits() == static.T.to_bits()
+    assert d.L.to_bits() == static.L.to_bits()
+    assert d.range_leaves(1, n, 1, n) == static.range_leaves(1, n, 1, n)
+    for r in range(1, n + 1):
         assert d.row_neighbors(r) == static.row_neighbors(r)
+    for _ in range(200):
+        r, c = rng.randint(1, n), rng.randint(1, n)
+        lo = rng.randint(1, n)
+        hi = rng.randint(lo, n)
+        assert d.row_leaves(r, lo, hi) == static.row_leaves(r, lo, hi)
+        assert d.col_leaves(c, lo, hi) == static.col_leaves(c, lo, hi)
+        r1 = rng.randint(1, n); r2 = rng.randint(r1, n)
+        c1 = rng.randint(1, n); c2 = rng.randint(c1, n)
+        want = d.range_leaves(r1, r2, c1, c2)
+        assert want == static.range_leaves(r1, r2, c1, c2)
+        assert [(rr, cc) for rr, cc, _ in want] == sorted(
+            (rr, cc) for (rr, cc) in cells if r1 <= rr <= r2 and c1 <= cc <= c2
+        )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_build_hands_over_the_leaf_order(k):
+    rng = random.Random(k)
+    n = 50
+    cells = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)]
+    t, order = K2Tree.build_with_order(n, cells, k)
+    assert sorted(order) == sorted(set(cells))
+    assert [t.leaf_ordinal(r, c) for r, c in order] == list(range(1, len(order) + 1))
+    assert order == sorted(order, key=lambda rc: _leaf_order_key(rc[0], rc[1], t.n, k))
 
 
 def test_dyn_grow_preserves_cells():

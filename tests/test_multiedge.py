@@ -173,3 +173,9 @@ def test_static_dynamic_agreement():
             assert static.edges_between(u, v) == dyn.edges_between(u, v)
     for u in range(1, n + 1):
         assert static.neighbors_with_edges(u, 1, n) == dyn.neighbors_with_edges(u, 1, n)
+    assert static.all_triples() == dyn.all_triples()
+    removed = set(order[::3])
+    for e, u, v in removed:
+        dyn.remove_edge(e, u, v)
+    kept = [t for t in triples if t not in removed]
+    assert MultiEdgeK2Tree.build(n, kept).all_triples() == dyn.all_triples()
