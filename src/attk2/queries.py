@@ -11,7 +11,6 @@ from __future__ import annotations
 import gc
 import time
 from pathlib import Path
-from statistics import mean, median
 
 from .dyngraph import DynAttK2Graph
 from .errors import InputError, NotFoundError
@@ -223,14 +222,17 @@ def bench_scripts(runner, scripts: dict[str, list], repeat: int = 1) -> list[dic
             continue
         samples_us = [s / 1000.0 for s in samples]
         samples_us.sort()
-        mean_us = mean(samples_us)
+        n = len(samples_us)
+        mean_us = sum(samples_us) / n
+        half = n // 2
+        median_us = samples_us[half] if n % 2 else (samples_us[half - 1] + samples_us[half]) / 2
         rows.append(
             {
                 "set": name,
-                "queries": len(samples_us),
+                "queries": n,
                 "mean_us": mean_us,
-                "median_us": median(samples_us),
-                "p99_us": samples_us[min(len(samples_us) - 1, int(len(samples_us) * 0.99))],
+                "median_us": median_us,
+                "p99_us": samples_us[min(n - 1, int(n * 0.99))],
                 "qps": (1e6 / mean_us) if mean_us else 0.0,
             }
         )

@@ -361,19 +361,23 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
     assert main(["query", "--db", str(path), "--script", str(script)]) == 0
     assert capsys.readouterr().out == "5\n1\n"
     cases = [
-        ("do not tile", 3 * 8 + 8, 99),  # a run past the end of More
-        ("do not tile", 3 * 8 + 8, 1),  # a run short of the end of More
-        ("outside 1..7", 0 * 8 + 8, 0),  # a single edge id of 0
-        ("outside 1..7", 0 * 8 + 8, 99),  # a single edge id past the edges
-        ("outside 1..7", 7 * 8 + 8 + 8, 8),  # an id in More past the edges
+        ("do not tile", 3 * 8 + 8, [99]),  # a run past the end of More
+        ("do not tile", 3 * 8 + 8, [1]),  # a run short of the end of More
+        ("outside 1..7", 0 * 8 + 8, [0]),  # a single edge id of 0
+        ("outside 1..7", 0 * 8 + 8, [99]),  # a single edge id past the edges
+        ("outside 1..7", 7 * 8 + 8 + 8, [8]),  # an id in More past the edges
+        ("each edge id 1..7 once", 0 * 8 + 8, [3]),  # edge 3 twice, edge 1 never
+        ("does not ascend", 7 * 8 + 8, [5, 4]),  # the run of leaf 3 descends
     ]
-    for message, field, value in cases:
-        path.write_bytes(_patched(data, io.SEC_RELATIONS, at + field, struct.pack("<Q", value)))
+    for message, field, values in cases:
+        raw = struct.pack(f"<{len(values)}Q", *values)
+        path.write_bytes(_patched(data, io.SEC_RELATIONS, at + field, raw))
         with pytest.raises(CorruptFileError, match=message):
             io.load_db(path)
-        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and message in err
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
 
 
 def _all_answers(graph) -> list[str]:

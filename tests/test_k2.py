@@ -81,7 +81,7 @@ def _leaf_order_key(r, c, n, k):
     return digits
 
 
-@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("density", [0.001, 0.01, 0.1])
 def test_queries_against_brute_force(k, density):
     rng = random.Random(int(density * 10_000) * 31 + k)
@@ -107,6 +107,18 @@ def test_queries_against_brute_force(k, density):
             (r, c) for (r, c) in cells if r1 <= r <= r2 and c1 <= c <= c2
         )
         assert t.range(r1, r2, c1, c2) == want
+    # row and column windows, each leaf's L position found through its ordinal
+    pos = {rc: t.L.select1(t.leaf_ordinal(*rc)) - 1 for rc in cells}
+    for _ in range(200):
+        line = rng.randint(1, n)
+        lo = rng.randint(1, n)
+        hi = rng.randint(lo - 1, n)  # an empty window now and then
+        if rng.random() < 0.2:
+            lo, hi = 1, n  # the full-width row walk at k=2
+        row = [(c, pos[line, c]) for c in range(lo, hi + 1) if (line, c) in cells]
+        col = [(r, pos[r, line]) for r in range(lo, hi + 1) if (r, line) in cells]
+        assert t.row_leaves(line, lo, hi) == row
+        assert t.col_leaves(line, lo, hi) == col
 
 
 def test_leaf_ordinal_matches_enumeration():

@@ -173,7 +173,16 @@ def test_static_dynamic_agreement():
             assert static.edges_between(u, v) == dyn.edges_between(u, v)
     for u in range(1, n + 1):
         assert static.neighbors_with_edges(u, 1, n) == dyn.neighbors_with_edges(u, 1, n)
+        assert static.neighbor_cols(u, 1, n) == dyn.neighbor_cols(u, 1, n)
+        assert static.reverse_with_edges(u, 1, n) == dyn.reverse_with_edges(u, 1, n)
     assert static.all_triples() == dyn.all_triples()
+    # a node or window past each matrix raises the same error in both classes
+    for rel, side in ((static, n), (dyn, dyn.base.n)):
+        for read in (rel.neighbors_with_edges, rel.neighbor_cols, rel.reverse_with_edges):
+            with pytest.raises(IndexError):
+                read(1, 1, side + 1)
+            with pytest.raises(IndexError):
+                read(side + 1, 1, side)
     removed = set(order[::3])
     for e, u, v in removed:
         dyn.remove_edge(e, u, v)
