@@ -40,7 +40,7 @@ class SparseAttribute:
         if lex_index is None:
             filled = sorted(
                 (i for i, v in enumerate(values) if v is not None),
-                key=lambda i: values[i].encode(),
+                key=values.__getitem__,
             )
             absent = [i for i, v in enumerate(values) if v is None]
             lex_index = array("I", filled + absent)
@@ -61,13 +61,12 @@ class SparseAttribute:
         idx = self.lex_index
         vals = self.values
         n = self.present
-        # str order is code-point order, which UTF-8 byte order preserves
+        # equal values are indexed in ascending position (checked at load)
         lo = bisect_left(idx, value, 0, n, key=vals.__getitem__)
         out = []
         while lo < n and vals[idx[lo]] == value:
             out.append(idx[lo] + self.limit)
             lo += 1
-        out.sort()
         return out
 
 
@@ -113,14 +112,14 @@ class DenseAttributeMatrix:
                     f"element {elem_id} takes two values for dense attribute {att!r}"
                 )
             row[elem_id] = value
-        atts = sorted(per_att, key=str.encode)
+        atts = sorted(per_att)
         col_limits = []
         col_values = []
         cells = []
         total = 0
         for att in atts:
             rows = per_att[att]
-            values = sorted(set(rows.values()), key=str.encode)
+            values = sorted(set(rows.values()))
             pos = {v: total + j + 1 for j, v in enumerate(values)}
             total += len(values)
             col_limits.append(total)
@@ -159,7 +158,7 @@ class DenseAttributeMatrix:
         if att not in self._att_index:
             return []
         values = self.col_values[self._att_index[att]]
-        j = bisect_left(values, value)  # code-point order is UTF-8 byte order
+        j = bisect_left(values, value)
         if j >= len(values) or values[j] != value:
             return []
         col = self._block(att)[0] + j
@@ -177,7 +176,7 @@ class DynSparseAttribute:
         self.label = label
         self.att = att
         self.values: list = []
-        self.lex_index: list[tuple[bytes, int]] = []  # (encoded value, position)
+        self.lex_index: list[tuple[str, int]] = []  # (value, position), ascending
 
     def set(self, pos: int, value):
         """Assign the value at 1-based position pos, extending with absents."""
@@ -185,11 +184,11 @@ class DynSparseAttribute:
             self.values.append(None)
         old = self.values[pos - 1]
         if old is not None:
-            i = bisect_left(self.lex_index, (old.encode(), pos - 1))
+            i = bisect_left(self.lex_index, (old, pos - 1))
             del self.lex_index[i]
         self.values[pos - 1] = value
         if value is not None:
-            insort(self.lex_index, (value.encode(), pos - 1))
+            insort(self.lex_index, (value, pos - 1))
 
     def get(self, pos: int):
         if pos < 1:
@@ -200,10 +199,9 @@ class DynSparseAttribute:
 
     def select(self, value: str) -> list[int]:
         """Ascending 1-based positions holding the value."""
-        key = value.encode()
-        lo = bisect_left(self.lex_index, (key,))
-        hi = bisect_right(self.lex_index, (key, len(self.values)))
-        return sorted(self.lex_index[i][1] + 1 for i in range(lo, hi))
+        lo = bisect_left(self.lex_index, (value,))
+        hi = bisect_right(self.lex_index, (value, len(self.values)))
+        return [pos + 1 for _, pos in self.lex_index[lo:hi]]
 
 
 class DynDenseAttribute:

@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, gen, io, queries
+from . import __version__, io, queries
 from .errors import CorruptFileError, InputError, NotFoundError
 from .graph import build_graph
 
@@ -53,6 +53,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import gen  # off the import path of the other subcommands
+
     data = gen.generate(
         nodes=args.nodes,
         edges=args.edges,

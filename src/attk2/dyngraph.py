@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .attrstore import DynDenseAttribute, DynSparseAttribute
 from .errors import InputError, NotFoundError
-from .graph import EDGE, NODE, UNDEFINED, build_graph
+from .graph import EDGE, NODE, UNDEFINED, _dense, _schema, _sparse, build_graph
 from .io import export_bundle
 from .multiedge import DynMultiEdge
 from .schema import DynTypeTable
@@ -61,12 +61,11 @@ class DynAttK2Graph:
         schema.add_attribute(label, att, dense)
         self._dense_kind[att] = dense
         if dense:
-            stores = self.node_dense if kind == NODE else self.edge_dense
+            stores = self._dense(kind)
             if att not in stores:
                 stores[att] = DynDenseAttribute(att, self.k)
         else:
-            stores = self.node_sparse if kind == NODE else self.edge_sparse
-            stores.setdefault((label, att), DynSparseAttribute(label, att))
+            self._sparse(kind)[(label, att)] = DynSparseAttribute(label, att)
 
     # -- element mutations ----------------------------------------------------
 
@@ -106,17 +105,10 @@ class DynAttK2Graph:
         """Tombstone an edge: drop it from the relations and its attributes."""
         if edge_id in self.dead_edges or not 1 <= edge_id <= self.edge_schema.count:
             raise NotFoundError(f"edge {edge_id} does not exist")
-        label, rank = self.edge_schema.rank_in_label(edge_id)
         u, v = self.edge_endpoints[edge_id - 1]
         self.relations.remove_edge(edge_id, u, v)
         self.dead_edges.add(edge_id)
-        for att, dense in self.edge_schema.attrs_of(label):
-            if dense:
-                self.edge_dense[att].clear(edge_id)
-            else:
-                store = self.edge_sparse.get((label, att))
-                if store is not None:
-                    store.set(rank, None)
+        self._clear_values(EDGE, edge_id)
 
     def remove_node(self, node_id: int):
         """Tombstone a node. Its id stays allocated and is reported not-found;
@@ -128,15 +120,8 @@ class DynAttK2Graph:
             or self.relations.reverse_with_edges(node_id, 1, n)
         ):
             raise InputError(f"node {node_id} still has incident edges")
-        label, rank = self.node_schema.rank_in_label(node_id)
         self.dead_nodes.add(node_id)
-        for att, dense in self.node_schema.attrs_of(label):
-            if dense:
-                self.node_dense[att].clear(node_id)
-            else:
-                store = self.node_sparse.get((label, att))
-                if store is not None:
-                    store.set(rank, None)
+        self._clear_values(NODE, node_id)
 
     # -- queries --------------------------------------------------------------
 
@@ -145,14 +130,15 @@ class DynAttK2Graph:
 
     def scan(self, kind: str, label: str) -> list[int]:
         ids = self._schema(kind).ids_of(label)
-        dead = self.dead_edges if kind == EDGE else self.dead_nodes
+        dead = self._dead(kind)
         if dead:
             ids = [i for i in ids if i not in dead]
         return ids
 
     def get_type(self, kind: str, elem_id: int) -> str:
+        schema = self._schema(kind)
         self._check_live(kind, elem_id)
-        return self._schema(kind).type_of(elem_id)
+        return schema.type_of(elem_id)
 
     def get_attribute(self, kind: str, elem_id: int, att: str):
         schema = self._schema(kind)
@@ -162,15 +148,9 @@ class DynAttK2Graph:
         if info is None:
             return UNDEFINED
         if info[1]:
-            store = (self.node_dense if kind == NODE else self.edge_dense).get(att)
-            return store.get(elem_id) if store else None
-        store = (self.node_sparse if kind == NODE else self.edge_sparse).get(
-            (label, att)
-        )
-        if store is None:
-            return None
+            return self._dense(kind)[att].get(elem_id)
         _, rank = schema.rank_in_label(elem_id)
-        return store.get(rank)
+        return self._sparse(kind)[(label, att)].get(rank)
 
     def select(self, kind: str, label: str, att: str, value: str):
         schema = self._schema(kind)
@@ -178,22 +158,13 @@ class DynAttK2Graph:
         if info is None:
             return UNDEFINED
         if info[1]:
-            store = (self.node_dense if kind == NODE else self.edge_dense).get(att)
-            if store is None:
-                return []
-            hits = store.select(value, 1, schema.count)
+            hits = self._dense(kind)[att].select(value, 1, schema.count)
             out = [i for i in hits if schema.type_of(i) == label]
         else:
-            store = (self.node_sparse if kind == NODE else self.edge_sparse).get(
-                (label, att)
-            )
-            if store is None:
-                return []
-            out = [
-                schema.select_in_label(label, rank) for rank in store.select(value)
-            ]
-            out.sort()
-        dead = self.dead_edges if kind == EDGE else self.dead_nodes
+            # ids of one label increase with their rank
+            ranks = self._sparse(kind)[(label, att)].select(value)
+            out = [schema.select_in_label(label, r) for r in ranks]
+        dead = self._dead(kind)
         if dead:
             out = [i for i in out if i not in dead]
         return out
@@ -231,29 +202,23 @@ class DynAttK2Graph:
 
     # -- internals --------------------------------------------------------------
 
-    def _schema(self, kind: str) -> DynTypeTable:
-        if kind == NODE:
-            return self.node_schema
-        if kind == EDGE:
-            return self.edge_schema
-        raise InputError(f"kind must be 'node' or 'edge', got {kind!r}")
+    _schema = _schema
+    _sparse = _sparse
+    _dense = _dense
+
+    def _dead(self, kind: str) -> set[int]:
+        return self.dead_edges if kind == EDGE else self.dead_nodes
 
     def _check_node(self, node_id: int):
         self.node_schema.type_of(node_id)  # range check
-        if node_id in self.dead_nodes:
-            raise NotFoundError(f"node {node_id} was removed")
+        self._check_live(NODE, node_id)
 
     def _check_live(self, kind: str, elem_id: int):
-        if kind == EDGE:
-            if elem_id in self.dead_edges:
-                raise NotFoundError(f"edge {elem_id} was removed")
-        elif elem_id in self.dead_nodes:
-            raise NotFoundError(f"node {elem_id} was removed")
+        if elem_id in self._dead(kind):
+            raise NotFoundError(f"{kind} {elem_id} was removed")
 
     def _check_attrs(self, kind: str, label: str, attrs):
         schema = self._schema(kind)
-        if not schema.has_label(label):
-            raise NotFoundError(f"unknown label {label!r}")
         seen = set()
         for att, _value in attrs:
             if schema.attribute_info(label, att) is None:
@@ -265,12 +230,18 @@ class DynAttK2Graph:
             seen.add(att)
 
     def _store_value(self, kind: str, elem_id: int, label: str, att: str, value: str):
-        info = self._schema(kind).attribute_info(label, att)
-        if info[1]:
-            stores = self.node_dense if kind == NODE else self.edge_dense
-            stores[att].set(elem_id, value)
+        schema = self._schema(kind)
+        if schema.attribute_info(label, att)[1]:
+            self._dense(kind)[att].set(elem_id, value)
         else:
-            stores = self.node_sparse if kind == NODE else self.edge_sparse
-            store = stores.setdefault((label, att), DynSparseAttribute(label, att))
-            _, rank = self._schema(kind).rank_in_label(elem_id)
-            store.set(rank, value)
+            self._sparse(kind)[(label, att)].set(schema.rank_in_label(elem_id)[1], value)
+
+    def _clear_values(self, kind: str, elem_id: int):
+        """Drop every attribute value of a removed element."""
+        schema = self._schema(kind)
+        label, rank = schema.rank_in_label(elem_id)
+        for att, dense in schema.attrs_of(label):
+            if dense:
+                self._dense(kind)[att].clear(elem_id)
+            else:
+                self._sparse(kind)[(label, att)].set(rank, None)

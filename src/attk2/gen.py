@@ -163,7 +163,7 @@ def generate(
     # community structure: endpoints are biased towards neighbors in the
     # store's (label, ext id) order, so the adjacency matrix is band-shaped
     # with a small fraction of longer ties
-    by_internal = sorted(node_ext, key=lambda e: (node_label_of[e].encode(), e.encode()))
+    by_internal = sorted(node_ext, key=lambda e: (node_label_of[e], e))
     spread = max(4, nodes // 2048)
 
     def near(idx, width):

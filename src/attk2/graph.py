@@ -8,6 +8,11 @@ translate back to the caller's external ids.
 `get_attribute` and `select` report a distinguished UNDEFINED result when the
 attribute is not part of the element's schema; that case is an answer, not
 an error.
+
+Every order the store defines on strings (labels, ids, values, attribute
+names) is UTF-8 byte order. Python orders str by code point, which is the
+same order, so the package sorts and bisects str directly; only `oracle.py`
+sorts on the encoded bytes, because it is the independent reference.
 """
 
 from __future__ import annotations
@@ -64,6 +69,26 @@ class IdMap:
         return len(self.to_external)
 
 
+# The kind dispatch of both stores: `AttK2Graph` and `DynAttK2Graph` bind
+# these three in their class bodies.
+
+
+def _schema(self, kind: str):
+    if kind == NODE:
+        return self.node_schema
+    if kind == EDGE:
+        return self.edge_schema
+    raise InputError(f"kind must be 'node' or 'edge', got {kind!r}")
+
+
+def _sparse(self, kind: str) -> dict:
+    return self.node_sparse if kind == NODE else self.edge_sparse
+
+
+def _dense(self, kind: str):
+    return self.node_dense if kind == NODE else self.edge_dense
+
+
 class AttK2Graph:
     """Immutable attributed multigraph over k²-tree storage."""
 
@@ -91,20 +116,9 @@ class AttK2Graph:
         self.edge_ids = edge_ids
         self.k = k
 
-    # -- helpers -----------------------------------------------------------
-
-    def _schema(self, kind: str) -> TypeTable:
-        if kind == NODE:
-            return self.node_schema
-        if kind == EDGE:
-            return self.edge_schema
-        raise InputError(f"kind must be 'node' or 'edge', got {kind!r}")
-
-    def _sparse(self, kind: str) -> dict:
-        return self.node_sparse if kind == NODE else self.edge_sparse
-
-    def _dense(self, kind: str) -> DenseAttributeMatrix:
-        return self.node_dense if kind == NODE else self.edge_dense
+    _schema = _schema
+    _sparse = _sparse
+    _dense = _dense
 
     # -- the unified query API ---------------------------------------------
 
@@ -181,7 +195,7 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
     edge_atts = {label: dict(atts) for label, atts in bundle.edge_schema}
 
     def order(records, label_of, ext_of):
-        return sorted(records, key=lambda r: (label_of(r).encode(), ext_of(r).encode()))
+        return sorted(records, key=lambda r: (label_of(r), ext_of(r)))
 
     nodes = order(bundle.nodes, lambda r: r[1], lambda r: r[0])
     edges = order(bundle.edges, lambda r: r[1], lambda r: r[0])

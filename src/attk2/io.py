@@ -34,8 +34,10 @@ on: each k²-tree's side is the padded side of its logical size and
 |T| + |L| = k²·(1 + ones(T)); dense column values ascend bytewise; the
 postings' offsets never decrease and end at the number of ids, which equals
 the dense k²-tree's ones; each run ascends strictly inside 1..n_logical and
-no id repeats inside one attribute's block; sparse ranges match their labels
-and id maps hold no duplicate.
+no id repeats inside one attribute's block; sparse ranges match their labels;
+each sparse value-order index is a permutation that lists the present values
+by value, equal values by position, then the absent ones by position; id maps
+hold no duplicate.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import tempfile
 import zlib
 from array import array
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import ge, le, lt, not_, setitem, sub
+from operator import ge, is_not, le, lt, ne, not_, setitem, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -442,20 +444,22 @@ class _Reader:
 
 
 def _write_schema(w: _Writer, table: TypeTable):
-    w.u64(len(table.labels))
-    for i, label in enumerate(table.labels):
+    """Per label: its name, upper limit, attribute names and dense flags."""
+    labels = table.label_list()
+    w.u64(len(labels))
+    for label, upper in zip(labels, table.upper_limits):
         w.text(label)
-        w.u64(table.upper_limits[i])
-        names = table._attrs[i]
-        w.u64(len(names))
-        for name in names:
+        w.u64(upper)
+        atts = table.attrs_of(label)
+        w.u64(len(atts))
+        for name, _ in atts:
             w.text(name)
-        w.bits(table._dense[i])
+        w.bits(BitSequence(dense for _, dense in atts))
 
 
 def _read_schema(r: _Reader) -> TypeTable:
     count = r.u64()
-    labels, uppers, attrs, dense = [], [], [], []
+    labels, uppers, attrs = [], [], []
     for _ in range(count):
         labels.append(r.text())
         uppers.append(r.u64())
@@ -463,14 +467,13 @@ def _read_schema(r: _Reader) -> TypeTable:
         flags = r.bits()
         if flags.n != len(names):
             raise CorruptFileError("dense flag bitmap does not match attribute count")
-        attrs.append(names)
-        dense.append(flags)
+        attrs.append(list(zip(names, flags.to_bits())))
     prev = 0
     for u in uppers:
         if u < prev:
             raise CorruptFileError("schema upper limits are not monotone")
         prev = u
-    return TypeTable(labels, uppers, attrs, dense)
+    return TypeTable(labels, uppers, attrs)
 
 
 def _write_k2(w: _Writer, tree: K2Tree):
@@ -494,7 +497,7 @@ def _read_k2(r: _Reader) -> K2Tree:
 
 
 def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
-    items = sorted(sparse.items(), key=lambda kv: (kv[0][0].encode(), kv[0][1].encode()))
+    items = sorted(sparse.items(), key=lambda kv: kv[0])
     w.u64(len(items))
     for (label, att), store in items:
         w.text(label)
@@ -522,15 +525,13 @@ def _read_attrs(r: _Reader, schema: TypeTable):
         limit = r.u64()
         values = r.texts(absent=True)
         lex = r.u32_array()
-        count = len(values)
-        if len(lex) != count or (lex and max(lex) >= count):
-            raise CorruptFileError("sparse index does not match value list")
+        _check_value_order(values, lex)
         try:
             lo, hi = schema.ids_of(label)
         except NotFoundError:
             raise CorruptFileError(f"sparse attribute of unknown label {label!r}") from None
         info = schema.attribute_info(label, att)
-        if info is None or info[1] or limit != lo or count != hi - lo + 1:
+        if info is None or info[1] or limit != lo or len(values) != hi - lo + 1:
             raise CorruptFileError(
                 f"sparse attribute {label}.{att} does not match its label's id range"
             )
@@ -550,6 +551,32 @@ def _read_attrs(r: _Reader, schema: TypeTable):
             raise CorruptFileError("dense column values are not in ascending order")
     _check_postings(offsets, ids, [0, *limits], matrix)
     return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values, offsets, ids)
+
+
+def _check_value_order(values: list, lex: array):
+    """Check that a sparse value-order index lists the positions of the
+    present values by value, equal values by position, then the positions of
+    the absent values in ascending order; all passes run in C."""
+    count = len(values)
+    if len(lex) != count or (lex and max(lex) >= count):
+        raise CorruptFileError("sparse index does not match value list")
+    present = count - values.count(None)
+    head, tail = lex[:present], lex[present:]
+    order = list(map(values.__getitem__, head))
+    if (
+        None in order
+        or any(map(is_not, map(values.__getitem__, tail), repeat(None)))
+        or not all(map(lt, tail, tail[1:]))
+    ):
+        raise CorruptFileError("sparse index does not list the absent values last")
+    # the steps i where the value does not grow: it must stay equal and the
+    # position grow, so the head holds each present position once
+    ties = list(compress(range(1, present), map(ge, order, islice(order, 1, None))))
+    before = list(map((-1).__add__, ties))
+    if any(map(ne, map(order.__getitem__, before), map(order.__getitem__, ties))) or any(
+        map(ge, map(head.__getitem__, before), map(head.__getitem__, ties))
+    ):
+        raise CorruptFileError("sparse index is not in value order")
 
 
 def _check_postings(offsets: array, ids: array, bounds: list[int], matrix):
@@ -627,10 +654,6 @@ def _read_relations(r: _Reader, edges: int) -> MultiEdgeK2Tree:
     return MultiEdgeK2Tree(base, multi, last, more)
 
 
-def _write_id_map(w: _Writer, idmap: IdMap):
-    w.texts(idmap.to_external)
-
-
 def _read_id_map(r: _Reader) -> IdMap:
     idmap = IdMap(r.texts())
     if len(idmap.to_internal) != len(idmap):
@@ -654,8 +677,8 @@ def save_db(graph: AttK2Graph, path):
         elif tag == SEC_RELATIONS:
             _write_relations(w, graph.relations)
         else:
-            _write_id_map(w, graph.node_ids)
-            _write_id_map(w, graph.edge_ids)
+            w.texts(graph.node_ids.to_external)
+            w.texts(graph.edge_ids.to_external)
         payload = w.getvalue()
         sections.append((tag, payload + struct.pack("<I", zlib.crc32(payload))))
 
@@ -714,34 +737,25 @@ def load_db(path) -> AttK2Graph:
         buf = memoryview(fh.read())  # slices of a view share the buffer
     sections = section_table(buf)
 
-    def reader(tag):
+    def section(tag, read, *args):
+        """read(reader, *args) over the whole of the section's checked payload."""
         offset, length = sections[tag]
         end = offset + length - 4
         if length < 4 or struct.unpack_from("<I", buf, end)[0] != zlib.crc32(
             buf[offset:end]
         ):
             raise CorruptFileError(f"section {tag} fails its checksum")
-        return _Reader(buf, offset, end)
+        r = _Reader(buf, offset, end)
+        out = read(r, *args)
+        r.done()
+        return out
 
-    r = reader(SEC_NODE_SCHEMA)
-    node_schema = _read_schema(r)
-    r.done()
-    r = reader(SEC_EDGE_SCHEMA)
-    edge_schema = _read_schema(r)
-    r.done()
-    r = reader(SEC_NODE_ATTRS)
-    node_sparse, node_dense = _read_attrs(r, node_schema)
-    r.done()
-    r = reader(SEC_EDGE_ATTRS)
-    edge_sparse, edge_dense = _read_attrs(r, edge_schema)
-    r.done()
-    r = reader(SEC_RELATIONS)
-    relations = _read_relations(r, edge_schema.count)
-    r.done()
-    r = reader(SEC_ID_MAPS)
-    node_ids = _read_id_map(r)
-    edge_ids = _read_id_map(r)
-    r.done()
+    node_schema = section(SEC_NODE_SCHEMA, _read_schema)
+    edge_schema = section(SEC_EDGE_SCHEMA, _read_schema)
+    node_sparse, node_dense = section(SEC_NODE_ATTRS, _read_attrs, node_schema)
+    edge_sparse, edge_dense = section(SEC_EDGE_ATTRS, _read_attrs, edge_schema)
+    relations = section(SEC_RELATIONS, _read_relations, edge_schema.count)
+    node_ids, edge_ids = section(SEC_ID_MAPS, lambda r: (_read_id_map(r), _read_id_map(r)))
 
     if len(node_ids) != node_schema.count or len(edge_ids) != edge_schema.count:
         raise CorruptFileError("id maps do not match schema element counts")

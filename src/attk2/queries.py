@@ -11,11 +11,14 @@ from __future__ import annotations
 import gc
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dyngraph import DynAttK2Graph
 from .errors import InputError, NotFoundError
 from .graph import EDGE, NODE, UNDEFINED, AttK2Graph
 from .io import InputBundle, unescape_field
+
+if TYPE_CHECKING:
+    from .dyngraph import DynAttK2Graph
 
 
 def _selected(to_ext, ids):
@@ -147,6 +150,8 @@ def replay_bundle(
     dynamic ids coincide with the static store's internal ids; explicit orders
     exercise arbitrary insertion sequences.
     """
+    from .dyngraph import DynAttK2Graph  # off the import path of static queries
+
     g = DynAttK2Graph(k=k)
     for label, atts in bundle.node_schema:
         g.add_node_type(label)
@@ -160,11 +165,11 @@ def replay_bundle(
     nodes = list(bundle.nodes)
     edges = list(bundle.edges)
     if node_order is None:
-        nodes.sort(key=lambda r: (r[1].encode(), r[0].encode()))
+        nodes.sort(key=lambda r: (r[1], r[0]))
     else:
         nodes = [nodes[i] for i in node_order]
     if edge_order is None:
-        edges.sort(key=lambda r: (r[1].encode(), r[0].encode()))
+        edges.sort(key=lambda r: (r[1], r[0]))
     else:
         edges = [edges[i] for i in edge_order]
 

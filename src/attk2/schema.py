@@ -1,43 +1,63 @@
 """Type registries for nodes and edges.
 
-The static table keeps labels sorted bytewise and assigns each label a
-contiguous id range, recording only the highest id per label; resolving an id
-is a binary search over those upper limits. Each label carries its attribute
-names (in declaration order) plus a bitmap marking which are dense.
+The static table keeps labels sorted (str order, which is UTF-8 byte order)
+and assigns each label a contiguous id range, recording only the highest id
+per label; resolving an id is a binary search over those upper limits.
 
 The dynamic table cannot reorder ids, so it keeps the label of every element
 in a dynamic symbol sequence keyed by a stable per-label code; ranges become
 rank/select queries.
+
+Both tables hold one attribute registry: per label, a dict from each
+attribute name, in declaration order, to its 1-based ordinal and dense flag.
+The store file keeps the paper's form of it, the names plus a bitmap of the
+dense flags; `io` builds that bitmap when it writes and decodes it on load.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from itertools import accumulate
 
-from .bits import BitSequence, DynSequence
+from .bits import DynSequence
 from .errors import InputError, NotFoundError
+
+
+def _attribute_info(self, label: str, att: str):
+    """(1-based ordinal, dense flag) of att within label, or None."""
+    atts = self._atts.get(label)
+    if atts is None:
+        raise NotFoundError(f"unknown label {label!r}")
+    return atts.get(att)
+
+
+def _attrs_of(self, label: str) -> list[tuple[str, bool]]:
+    """(attribute, dense flag) pairs of the label, in declaration order."""
+    atts = self._atts.get(label)
+    if atts is None:
+        raise NotFoundError(f"unknown label {label!r}")
+    return [(att, dense) for att, (_, dense) in atts.items()]
 
 
 class TypeTable:
     """Static label registry with contiguous id ranges per label."""
 
-    __slots__ = ("labels", "upper_limits", "_attrs", "_dense", "_attr_pos", "_index")
+    __slots__ = ("labels", "upper_limits", "_atts", "_index")
 
     def __init__(
         self,
         labels: list[str],
         upper_limits: list[int],
-        attrs: list[list[str]],
-        dense: list[BitSequence],
+        attrs: list[list[tuple[str, bool]]],
     ):
+        """attrs: per label, its (attribute, dense flag) pairs in order."""
         self.labels = labels
         self.upper_limits = upper_limits
-        self._attrs = attrs
-        self._dense = dense
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._attr_pos = [
-            {name: j for j, name in enumerate(names)} for names in attrs
-        ]
+        self._atts = {
+            lab: {att: (j, bool(dense)) for j, (att, dense) in enumerate(pairs, 1)}
+            for lab, pairs in zip(labels, attrs)
+        }
 
     @classmethod
     def build(
@@ -45,28 +65,17 @@ class TypeTable:
     ) -> "TypeTable":
         """entries: (label, element count, [(attribute, dense flag)...])."""
         seen = set()
-        for label, count, _ in entries:
+        for label, count, attr_list in entries:
             if label in seen:
                 raise InputError(f"duplicate label {label!r}")
             if count < 0:
                 raise InputError(f"label {label!r} has negative element count")
-            seen.add(label)
-        ordered = sorted(entries, key=lambda e: e[0].encode())
-        labels = []
-        uppers = []
-        attrs = []
-        dense = []
-        total = 0
-        for label, count, attr_list in ordered:
-            names = [name for name, _ in attr_list]
-            if len(set(names)) != len(names):
+            if len({name for name, _ in attr_list}) != len(attr_list):
                 raise InputError(f"label {label!r} declares a duplicate attribute")
-            total += count
-            labels.append(label)
-            uppers.append(total)
-            attrs.append(names)
-            dense.append(BitSequence(1 if flag else 0 for _, flag in attr_list))
-        return cls(labels, uppers, attrs, dense)
+            seen.add(label)
+        ordered = sorted(entries, key=lambda e: e[0])
+        uppers = list(accumulate(count for _, count, _ in ordered))
+        return cls([e[0] for e in ordered], uppers, [e[2] for e in ordered])
 
     @property
     def count(self) -> int:
@@ -89,38 +98,19 @@ class TypeTable:
             raise IndexError(f"id {elem_id} out of range 1..{self.count}")
         return self.labels[bisect_left(self.upper_limits, elem_id)]
 
-    def attribute_info(self, label: str, att: str):
-        """(1-based ordinal, dense flag) of att within label, or None."""
-        idx = self._index.get(label)
-        if idx is None:
-            raise NotFoundError(f"unknown label {label!r}")
-        j = self._attr_pos[idx].get(att)
-        if j is None:
-            return None
-        return j + 1, bool(self._dense[idx].access(j + 1))
-
-    def attrs_of(self, label: str) -> list[tuple[str, bool]]:
-        idx = self._index.get(label)
-        if idx is None:
-            raise NotFoundError(f"unknown label {label!r}")
-        flags = self._dense[idx]
-        return [
-            (name, bool(flags.access(j + 1)))
-            for j, name in enumerate(self._attrs[idx])
-        ]
+    attribute_info = _attribute_info
+    attrs_of = _attrs_of
 
 
 class DynTypeTable:
     """Growable label registry; element types live in a dynamic sequence."""
 
-    __slots__ = ("_sorted", "_codes", "_names", "_attrs", "_dense", "_seq")
+    __slots__ = ("_codes", "_names", "_atts", "_seq")
 
     def __init__(self):
-        self._sorted: list[str] = []       # labels in bytewise order
         self._codes: dict[str, int] = {}   # label -> stable code
         self._names: list[str] = []        # code -> label
-        self._attrs: dict[str, list[str]] = {}
-        self._dense: dict[str, list[bool]] = {}
+        self._atts: dict[str, dict[str, tuple[int, bool]]] = {}
         self._seq = DynSequence()
 
     @property
@@ -132,17 +122,15 @@ class DynTypeTable:
             raise InputError(f"label {label!r} already exists")
         self._codes[label] = len(self._names)
         self._names.append(label)
-        insort(self._sorted, label, key=str.encode)
-        self._attrs[label] = []
-        self._dense[label] = []
+        self._atts[label] = {}
 
     def add_attribute(self, label: str, att: str, dense: bool):
-        if label not in self._codes:
+        atts = self._atts.get(label)
+        if atts is None:
             raise NotFoundError(f"unknown label {label!r}")
-        if att in self._attrs[label]:
+        if att in atts:
             raise InputError(f"attribute {att!r} already declared for {label!r}")
-        self._attrs[label].append(att)
-        self._dense[label].append(dense)
+        atts[att] = (len(atts) + 1, dense)
 
     def register_element(self, label: str) -> int:
         """Append an element of the label; returns its sequential 1-based id."""
@@ -153,7 +141,7 @@ class DynTypeTable:
         return self._seq.n
 
     def label_list(self) -> list[str]:
-        return list(self._sorted)
+        return sorted(self._atts)
 
     def has_label(self, label: str) -> bool:
         return label in self._codes
@@ -185,17 +173,5 @@ class DynTypeTable:
             raise NotFoundError(f"unknown label {label!r}")
         return self._seq.select(code, rank)
 
-    def attribute_info(self, label: str, att: str):
-        if label not in self._codes:
-            raise NotFoundError(f"unknown label {label!r}")
-        names = self._attrs[label]
-        try:
-            j = names.index(att)
-        except ValueError:
-            return None
-        return j + 1, self._dense[label][j]
-
-    def attrs_of(self, label: str) -> list[tuple[str, bool]]:
-        if label not in self._codes:
-            raise NotFoundError(f"unknown label {label!r}")
-        return list(zip(self._attrs[label], self._dense[label]))
+    attribute_info = _attribute_info
+    attrs_of = _attrs_of

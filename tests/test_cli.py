@@ -1,7 +1,13 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import attk2
 from attk2 import io
 from attk2.cli import main
 
@@ -253,3 +259,11 @@ def test_gen_determinism_via_cli(tmp_path, capsys):
         )[0] == 0
     assert (a / "nodes.tsv").read_bytes() == (b / "nodes.tsv").read_bytes()
     assert (a / "edges.tsv").read_bytes() == (b / "edges.tsv").read_bytes()
+
+
+def test_cli_import_leaves_out_gen_and_the_dynamic_store():
+    src = str(Path(attk2.__file__).resolve().parents[1])
+    code = "import sys, attk2.cli; print(sorted({'attk2.gen', 'attk2.dyngraph'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -3,10 +3,12 @@
 import random
 import struct
 import zlib
+from array import array
 
 import pytest
 
 from attk2 import io, queries
+from attk2.attrstore import SparseAttribute
 from attk2.bits import BitSequence
 from attk2.cli import main
 from attk2.errors import CorruptFileError, InputError
@@ -378,6 +380,46 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
             assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_load_checks_the_sparse_value_order(tmp_path, store, capsys):
+    path = tmp_path / "x.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # Researcher.Name holds P. García, J. Boy and S. Gómez (ids 3, 4, 5); its
+    # value-order index follows the string table as a u32 array: 1 0 2
+    blob_end = "S. Gómez".encode()
+    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
+    at = data.index(blob_end + struct.pack("<Q3I", 3, 1, 0, 2), offset)
+    at += len(blob_end) - offset
+    script = tmp_path / "script.tsv"
+    script.write_text("SelectNodes\tResearcher\tName\tJ. Boy\n", encoding="utf-8")
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "4\n"
+    for lex in ((2, 0, 1), (1, 1, 2)):  # entries 0 and 2 swapped; entry 0 twice
+        raw = struct.pack("<Q3I", 3, *lex)
+        path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, raw))
+        with pytest.raises(CorruptFileError, match="not in value order"):
+            io.load_db(path)
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: sparse index is not in value order\n"
+
+
+def test_sparse_value_order_check():
+    values = ["b", None, "a", "b", "", None]
+    io._check_value_order(values, array("I", [4, 2, 0, 3, 1, 5]))
+    io._check_value_order(values, SparseAttribute("L", "x", 1, values).lex_index)
+    cases = {
+        "does not match": ([4, 2, 0, 3, 1], [4, 2, 0, 3, 1, 6]),
+        "absent values last": ([4, 2, 0, 1, 3, 5], [4, 2, 0, 3, 5, 1], [4, 2, 0, 3, 1, 1]),
+        "not in value order": ([2, 4, 0, 3, 1, 5], [4, 2, 3, 0, 1, 5], [4, 2, 0, 0, 1, 5]),
+    }
+    for message, lexes in cases.items():
+        for lex in lexes:
+            with pytest.raises(CorruptFileError, match=message):
+                io._check_value_order(values, array("I", lex))
 
 
 def _all_answers(graph) -> list[str]:

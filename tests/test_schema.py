@@ -123,3 +123,17 @@ def test_dyn_registrations_match_array_oracle():
     for rank, elem in enumerate(label_ids, start=1):
         assert t.rank_in_label(elem) == (lab, rank)
         assert t.select_in_label(lab, rank) == elem
+
+
+def test_label_order_is_utf8_byte_order():
+    # 1- to 4-byte UTF-8; UTF-16 would put the last one before "\uffda"
+    labels = ["\U0001F600", "z", "\uffda", "\u00e9", "Z"]
+    want = sorted(labels, key=str.encode)
+    assert want == ["Z", "z", "\u00e9", "\uffda", "\U0001F600"]
+    t = TypeTable.build([(lab, 1, []) for lab in labels])
+    assert t.label_list() == want
+    assert [t.type_of(i) for i in range(1, 6)] == want
+    d = DynTypeTable()
+    for lab in labels:
+        d.add_type(lab)
+    assert d.label_list() == want
