@@ -2,9 +2,10 @@
 
 `BitSequence` is immutable and answers rank in O(1) through a per-word
 cumulative directory. `DynBitSequence` supports positional insert/remove by
-keeping the payload in bounded-size integer chunks indexed by Fenwick trees.
-`DynSequence` is a wavelet tree over dynamic bitmaps, giving access/rank/select
-over a small integer alphabet.
+keeping the payload in bounded-size integer chunks; reads bisect prefix lists
+of the chunks' bit and one counts, which a write drops and the next read
+rebuilds. `DynSequence` is a wavelet tree over dynamic bitmaps, giving
+access/rank/select over a small integer alphabet.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
@@ -16,6 +17,8 @@ through it.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import CorruptFileError, NotFoundError
@@ -148,71 +151,23 @@ class BitSequence:
         return cls.from_words(words, n), offset + 8 * nwords
 
 
-class _Fenwick:
-    """Fenwick tree over a fixed number of leaves, supporting prefix sums and
-    a descent that finds the leaf containing a running total."""
-
-    __slots__ = ("size", "_tree", "_log")
-
-    def __init__(self, values: list[int]):
-        size = len(values)
-        tree = [0] * (size + 1)
-        for i, v in enumerate(values):
-            tree[i + 1] += v
-            parent = i + 1 + ((i + 1) & -(i + 1))
-            if parent <= size:
-                tree[parent] += tree[i + 1]
-        self.size = size
-        self._tree = tree
-        self._log = max(1, size.bit_length())
-
-    def add(self, i: int, delta: int):
-        """Add delta to leaf i (0-based)."""
-        i += 1
-        tree = self._tree
-        size = self.size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        """Sum of leaves 0..i-1."""
-        tree = self._tree
-        total = 0
-        while i:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-    def find(self, target: int) -> tuple[int, int]:
-        """Smallest leaf index i with prefix(i+1) >= target, plus prefix(i).
-
-        target must satisfy 1 <= target <= total.
-        """
-        pos = 0
-        acc = 0
-        tree = self._tree
-        size = self.size
-        step = 1 << self._log
-        while step:
-            nxt = pos + step
-            if nxt <= size and acc + tree[nxt] < target:
-                pos = nxt
-                acc += tree[nxt]
-            step >>= 1
-        return pos, acc
-
-
 _CHUNK_BITS = 2048  # target chunk size; chunks split when they exceed twice this
 
 
 class DynBitSequence:
     """Bit array with positional insert/remove plus rank/select (1-based).
 
+    The bits live in integer chunks of at most 2 * _CHUNK_BITS bits, with
+    per-chunk bit and one counts in `_lens` and `_ones`. Reads bisect two
+    prefix lists over those counts, `_starts` (bits before each chunk) and
+    `_ranks` (ones before each chunk), each one element longer than the chunk
+    list. A write drops the list whose counts it changed (sets it to None) and
+    the next read rebuilds it in one C-level `accumulate`.
+
     Single-writer: no concurrent readers during mutation.
     """
 
-    __slots__ = ("n", "ones", "_chunks", "_lens", "_ones", "_flen", "_fones")
+    __slots__ = ("n", "ones", "_chunks", "_lens", "_ones", "_starts", "_ranks")
 
     def __init__(self, bits: Iterable = ()):
         words, n = _pack_bits(bits)
@@ -236,17 +191,25 @@ class DynBitSequence:
             self._ones = [0]
         self.n = n
         self.ones = sum(self._ones)
-        self._reindex()
+        self._starts = self._ranks = None
 
-    def _reindex(self):
-        self._flen = _Fenwick(self._lens)
-        self._fones = _Fenwick(self._ones)
+    def _bits_before(self) -> list[int]:
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = list(accumulate(self._lens, initial=0))
+        return starts
 
-    def _locate(self, p: int) -> tuple[int, int, int]:
-        """Chunk index, 0-based offset inside it, and bits before it, for
-        position p in 1..n."""
-        ci, before = self._flen.find(p)
-        return ci, p - before - 1, before
+    def _ones_before(self) -> list[int]:
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = list(accumulate(self._ones, initial=0))
+        return ranks
+
+    def _locate(self, p: int) -> tuple[int, int]:
+        """Chunk index and 0-based offset inside it of position p in 1..n."""
+        starts = self._bits_before()
+        ci = bisect_left(starts, p) - 1
+        return ci, p - starts[ci] - 1
 
     def _split_if_needed(self, ci: int):
         length = self._lens[ci]
@@ -264,7 +227,7 @@ class DynBitSequence:
         self._chunks[ci : ci + 1] = pieces
         self._lens[ci : ci + 1] = sizes
         self._ones[ci : ci + 1] = [p.bit_count() for p in pieces]
-        self._reindex()
+        self._starts = self._ranks = None
 
     def insert(self, p: int, b: int):
         """Insert bit b at position p (1 <= p <= n+1); later bits shift up."""
@@ -274,17 +237,17 @@ class DynBitSequence:
             ci = len(self._chunks) - 1
             q = self._lens[ci]
         else:
-            ci, q, _ = self._locate(p)
+            ci, q = self._locate(p)
         chunk = self._chunks[ci]
         lo = chunk & ((1 << q) - 1)
         hi = chunk >> q
         self._chunks[ci] = lo | ((hi << 1) | (1 if b else 0)) << q
         self._lens[ci] += 1
-        self._flen.add(ci, 1)
+        self._starts = None
         self.n += 1
         if b:
             self._ones[ci] += 1
-            self._fones.add(ci, 1)
+            self._ranks = None
             self.ones += 1
         self._split_if_needed(ci)
 
@@ -298,42 +261,22 @@ class DynBitSequence:
             ci = len(self._chunks) - 1
             q = self._lens[ci]
         else:
-            ci, q, _ = self._locate(p)
+            ci, q = self._locate(p)
         chunk = self._chunks[ci]
         lo = chunk & ((1 << q) - 1)
         hi = chunk >> q
         self._chunks[ci] = lo | hi << (q + count)
         self._lens[ci] += count
-        self._flen.add(ci, count)
+        self._starts = None
         self.n += count
         self._split_if_needed(ci)
-
-    def remove(self, p: int) -> int:
-        """Remove and return the bit at position p."""
-        if not 1 <= p <= self.n:
-            raise IndexError(f"remove position {p} out of range 1..{self.n}")
-        ci, q, _ = self._locate(p)
-        chunk = self._chunks[ci]
-        bit = (chunk >> q) & 1
-        lo = chunk & ((1 << q) - 1)
-        hi = chunk >> (q + 1)
-        self._chunks[ci] = lo | hi << q
-        self._lens[ci] -= 1
-        self._flen.add(ci, -1)
-        self.n -= 1
-        if bit:
-            self._ones[ci] -= 1
-            self._fones.add(ci, -1)
-            self.ones -= 1
-        self._drop_if_empty(ci)
-        return bit
 
     def remove_run(self, p: int, count: int):
         """Remove bits at positions p..p+count-1."""
         if count < 0 or p < 1 or p + count - 1 > self.n:
             raise IndexError(f"remove run {p}..{p + count - 1} out of range")
         while count:
-            ci, q, _ = self._locate(p)
+            ci, q = self._locate(p)
             take = min(count, self._lens[ci] - q)
             chunk = self._chunks[ci]
             removed = (chunk >> q) & ((1 << take) - 1)
@@ -341,50 +284,56 @@ class DynBitSequence:
             hi = chunk >> (q + take)
             self._chunks[ci] = lo | hi << q
             self._lens[ci] -= take
-            self._flen.add(ci, -take)
+            self._starts = None
             gone = removed.bit_count()
             if gone:
                 self._ones[ci] -= gone
-                self._fones.add(ci, -gone)
+                self._ranks = None
                 self.ones -= gone
             self.n -= take
             count -= take
-            self._drop_if_empty(ci)
-
-    def _drop_if_empty(self, ci: int):
-        if self._lens[ci] == 0 and len(self._chunks) > 1:
-            del self._chunks[ci]
-            del self._lens[ci]
-            del self._ones[ci]
-            self._reindex()
+            if self._lens[ci] == 0 and len(self._chunks) > 1:
+                del self._chunks[ci]
+                del self._lens[ci]
+                del self._ones[ci]
+                self._ranks = None
 
     def set_bit(self, p: int, b: int):
         """Assign bit b to position p in place."""
         if not 1 <= p <= self.n:
             raise IndexError(f"bit position {p} out of range 1..{self.n}")
-        ci, q, _ = self._locate(p)
+        ci, q = self._locate(p)
         old = (self._chunks[ci] >> q) & 1
         if old == (1 if b else 0):
             return
         self._chunks[ci] ^= 1 << q
         delta = 1 if b else -1
         self._ones[ci] += delta
-        self._fones.add(ci, delta)
+        self._ranks = None
         self.ones += delta
 
     def access(self, p: int) -> int:
         if not 1 <= p <= self.n:
             raise IndexError(f"bit position {p} out of range 1..{self.n}")
-        ci, q, _ = self._locate(p)
+        ci, q = self._locate(p)
         return (self._chunks[ci] >> q) & 1
 
     def access_rank(self, p: int) -> tuple[int, int]:
         """(access(p), rank1(p)) for a position p in 1..n, locating p once."""
         if not 1 <= p <= self.n:
             raise IndexError(f"bit position {p} out of range 1..{self.n}")
-        ci, q, _ = self._locate(p)
+        # `_locate` and the list checks written inline: every k²-tree descent
+        # and wavelet access reads its bits here
+        starts = self._starts
+        if starts is None:
+            starts = self._bits_before()
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ones_before()
+        ci = bisect_left(starts, p) - 1
+        q = p - starts[ci] - 1
         chunk = self._chunks[ci]
-        return (chunk >> q) & 1, self._fones.prefix(ci) + (chunk & ((2 << q) - 1)).bit_count()
+        return (chunk >> q) & 1, ranks[ci] + (chunk & ((2 << q) - 1)).bit_count()
 
     def rank1(self, i: int) -> int:
         """Number of ones in positions 1..i."""
@@ -392,36 +341,26 @@ class DynBitSequence:
             raise IndexError(f"rank position {i} out of range 0..{self.n}")
         if i == 0:
             return 0
-        ci, q, _ = self._locate(i)
-        return self._fones.prefix(ci) + (
-            self._chunks[ci] & ((1 << (q + 1)) - 1)
-        ).bit_count()
+        ci, q = self._locate(i)
+        return self._ones_before()[ci] + (self._chunks[ci] & ((2 << q) - 1)).bit_count()
 
     def select1(self, j: int) -> int:
         if j < 1 or j > self.ones:
             raise NotFoundError(f"select1({j}): sequence has {self.ones} ones")
-        ci, before = self._fones.find(j)
-        return self._flen.prefix(ci) + self._nth_bit(self._chunks[ci], j - before)
+        ranks = self._ones_before()
+        ci = bisect_left(ranks, j) - 1
+        return self._bits_before()[ci] + self._nth_bit(self._chunks[ci], j - ranks[ci])
 
     def select0(self, j: int) -> int:
         zeros = self.n - self.ones
         if j < 1 or j > zeros:
             raise NotFoundError(f"select0({j}): sequence has {zeros} zeros")
-        # joint descent: zeros in a Fenwick node = stored length minus stored ones
-        pos = 0
-        acc = 0
-        ltree = self._flen._tree
-        otree = self._fones._tree
-        size = self._flen.size
-        step = 1 << self._flen._log
-        while step:
-            nxt = pos + step
-            if nxt <= size and acc + (ltree[nxt] - otree[nxt]) < j:
-                pos = nxt
-                acc += ltree[nxt] - otree[nxt]
-            step >>= 1
-        mask = (1 << self._lens[pos]) - 1
-        return self._flen.prefix(pos) + self._nth_bit(~self._chunks[pos] & mask, j - acc)
+        starts = self._bits_before()
+        ranks = self._ones_before()
+        # zeros before chunk i are starts[i] - ranks[i]
+        ci = bisect_left(range(len(starts)), j, key=lambda i: starts[i] - ranks[i]) - 1
+        mask = (1 << self._lens[ci]) - 1
+        return starts[ci] + self._nth_bit(~self._chunks[ci] & mask, j - starts[ci] + ranks[ci])
 
     @staticmethod
     def _nth_bit(chunk: int, j: int) -> int:
@@ -573,9 +512,6 @@ class DynSequence:
             return node.bits.select1(jj)
         jj = self._select(node.left, lo, mid, c, j)
         return node.bits.select0(jj)
-
-    def to_list(self) -> list[int]:
-        return [self.access(i) for i in range(1, self.n + 1)]
 
     def __len__(self) -> int:
         return self.n

@@ -34,10 +34,11 @@ on: each k²-tree's side is the padded side of its logical size and
 |T| + |L| = k²·(1 + ones(T)); dense column values ascend bytewise; the
 postings' offsets never decrease and end at the number of ids, which equals
 the dense k²-tree's ones; each run ascends strictly inside 1..n_logical and
-no id repeats inside one attribute's block; sparse ranges match their labels;
-each sparse value-order index is a permutation that lists the present values
-by value, equal values by position, then the absent ones by position; id maps
-hold no duplicate.
+no id repeats inside one attribute's block; each schema section's labels
+ascend strictly and no label repeats an attribute name; sparse ranges match
+their labels; each sparse value-order index is a permutation that lists the
+present values by value, equal values by position, then the absent ones by
+position; id maps hold no duplicate.
 """
 
 from __future__ import annotations
@@ -467,7 +468,11 @@ def _read_schema(r: _Reader) -> TypeTable:
         flags = r.bits()
         if flags.n != len(names):
             raise CorruptFileError("dense flag bitmap does not match attribute count")
+        if len(set(names)) != len(names):
+            raise CorruptFileError(f"label {labels[-1]!r} repeats an attribute name")
         attrs.append(list(zip(names, flags.to_bits())))
+    if not all(map(lt, labels, labels[1:])):
+        raise CorruptFileError("schema labels do not ascend strictly")
     prev = 0
     for u in uppers:
         if u < prev:

@@ -11,7 +11,7 @@ Both trees navigate the same way, so the read-only descents are written once,
 against a two-method bit-vector protocol that `BitSequence` and
 `DynBitSequence` both implement: ``access(p)`` and ``access_rank(p)``, which
 returns ``(access(p), rank1(p))`` after locating p once. `_leaf_pos` is the
-point descent (cell, leaf ordinal) and `_rect_leaves` the rectangle descent;
+point descent (a cell's L position) and `_rect_leaves` the rectangle descent;
 a row or a column is its one-row or one-column case. Only `DynK2Tree.set` and
 `DynK2Tree.clear` walk the tree themselves, because they change it on the way.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bits import BitSequence, DynBitSequence
-from .errors import InputError, NotFoundError
+from .errors import InputError
 
 
 def _padded_side(n_logical: int, k: int) -> int:
@@ -106,25 +106,6 @@ def _rect_leaves(tree, rlo: int, rhi: int, clo: int, chi: int) -> list[tuple[int
 
 
 # Read methods both tree classes share; `_check_rc` holds each class's bounds.
-
-
-def _cell(self, r: int, c: int) -> int:
-    self._check_rc(r, c)
-    return 1 if _leaf_pos(self, r - 1, c - 1) >= 0 else 0
-
-
-def _leaf_ordinal(self, r: int, c: int) -> int:
-    """Ordinal (1-based, levelwise) of this cell's one among the leaf ones."""
-    self._check_rc(r, c)
-    pos = _leaf_pos(self, r - 1, c - 1)
-    if pos < 0:
-        raise NotFoundError(f"cell ({r}, {c}) is not set")
-    return self.L.rank1(pos + 1)
-
-
-def _range(self, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int]]:
-    """All 1-cells inside the rectangle, in lexicographic (row, col) order."""
-    return [(r, c) for r, c, _ in self.range_leaves(r1, r2, c1, c2)]
 
 
 def _range_leaves(self, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int, int]]:
@@ -235,21 +216,8 @@ class K2Tree:
                 f"cell ({r}, {c}) outside {self.n_logical}x{self.n_logical} matrix"
             )
 
-    cell = _cell
-    leaf_ordinal = _leaf_ordinal
-    range = _range
     range_leaves = _range_leaves
     col_leaves = _col_leaves
-
-    def row_neighbors(self, r: int) -> list[int]:
-        """Ascending columns with a 1 in row r."""
-        self._check_rc(r, 1)
-        return [c for c, _ in self.row_leaves(r, 1, self.n_logical)]
-
-    def col_neighbors(self, c: int) -> list[int]:
-        """Ascending rows with a 1 in column c."""
-        self._check_rc(1, c)
-        return [r for r, _ in self.col_leaves(c, 1, self.n_logical)]
 
     def row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
         """(col, 0-based L position) pairs for ones in row r, cols c1..c2."""
@@ -503,18 +471,6 @@ class DynK2Tree:
             else:
                 break
 
-    cell = _cell
-    leaf_ordinal = _leaf_ordinal
-    range = _range
     range_leaves = _range_leaves
     row_leaves = _row_leaves
     col_leaves = _col_leaves
-
-    def row_neighbors(self, r: int) -> list[int]:
-        self._check_rc(r, 1)
-        return [c for c, _ in self.row_leaves(r, 1, self.n)]
-
-    def col_neighbors(self, c: int) -> list[int]:
-        self._check_rc(1, c)
-        return [r for r, _ in self.col_leaves(c, 1, self.n)]
-

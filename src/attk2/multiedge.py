@@ -83,11 +83,6 @@ class MultiEdgeK2Tree:
                 last.append(len(more))
         return cls(base, BitSequence(multi_bits), last, more)
 
-    @property
-    def edge_count(self) -> int:
-        singles = self.multi.n - self.multi.ones
-        return singles + len(self.more)
-
     def _ids_at(self, ordinal: int) -> list[int]:
         """Edge ids stored at the leaf with the given 1-based ordinal."""
         if not self.multi.access(ordinal):
@@ -103,14 +98,6 @@ class MultiEdgeK2Tree:
 
     def _leaf_ids(self, q: int) -> list[int]:
         return self._ids_at(self.base.L.rank1(q + 1))
-
-    def edges_between(self, u: int, v: int) -> list[int]:
-        """Ascending edge ids connecting u to v (empty when the cell is 0)."""
-        n = self.base.n_logical
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise IndexError(f"node pair ({u}, {v}) outside 1..{n}")
-        pos = _leaf_pos(self.base, u - 1, v - 1)
-        return self._leaf_ids(pos) if pos >= 0 else []
 
     neighbors_with_edges = _neighbors_with_edges
     neighbor_cols = _neighbor_cols
@@ -168,10 +155,6 @@ class DynMultiEdge:
         self.base = DynK2Tree(k=k)
         self.lists: list[list[int]] = []
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(ids) for ids in self.lists)
-
     def _ensure_capacity(self, node: int):
         while self.base.n < node:
             self.base.grow()
@@ -209,12 +192,6 @@ class DynMultiEdge:
 
     def _leaf_ids(self, q: int) -> list[int]:
         return sorted(self.lists[self.base.L.rank1(q + 1) - 1])
-
-    def edges_between(self, u: int, v: int) -> list[int]:
-        if not (1 <= u <= self.base.n and 1 <= v <= self.base.n):
-            return []
-        pos = _leaf_pos(self.base, u - 1, v - 1)
-        return self._leaf_ids(pos) if pos >= 0 else []
 
     neighbors_with_edges = _neighbors_with_edges
     neighbor_cols = _neighbor_cols

@@ -9,6 +9,7 @@ levels, project counts).
 import pytest
 
 from attk2.io import InputBundle
+from attk2.k2 import _leaf_pos
 
 # external ids are chosen so the static build's internal ids coincide with
 # them (elements are already listed in (label, ext id) order)
@@ -81,3 +82,29 @@ def store(bundle):
     from attk2.graph import build_graph
 
     return build_graph(bundle)
+
+
+# Reads that only tests need, written over the reads the package runs: the
+# point descent with L's rank, the rectangle descent and the row read.
+
+
+def cell(tree, r: int, c: int) -> int:
+    """1 when cell (r, c) of a k²-tree is set, else 0."""
+    return int(_leaf_pos(tree, r - 1, c - 1) >= 0)
+
+
+def leaf_ordinal(tree, r: int, c: int) -> int:
+    """1-based levelwise ordinal of cell (r, c)'s one among L's ones; 0 when
+    the cell is not set."""
+    pos = _leaf_pos(tree, r - 1, c - 1)
+    return tree.L.rank1(pos + 1) if pos >= 0 else 0
+
+
+def cells_in(tree, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int]]:
+    """The set cells inside the rectangle, in (row, col) order."""
+    return [(r, c) for r, c, _ in tree.range_leaves(r1, r2, c1, c2)]
+
+
+def edges_between(rel, u: int, v: int) -> list[int]:
+    """Ascending edge ids from u to v of a relations layer."""
+    return next((ids for _, ids in rel.neighbors_with_edges(u, v, v)), [])

@@ -26,7 +26,7 @@ from attk2.queries import (
     load_scripts,
 )
 
-from conftest import running_bundle
+from conftest import cell, cells_in, edges_between, running_bundle
 
 GRAPH_SIZES = [
     (60, 240), (120, 600), (250, 1000), (400, 1600), (600, 2500),
@@ -117,7 +117,7 @@ def test_criterion_1_golden_worked_example():
     assert g.get_attribute(NODE, 3, "Title") is UNDEFINED
     assert g.get_attribute(NODE, 3, "Name") == "P. García"
     assert g.get_attribute(EDGE, 6, "Expertise") == "Medium"
-    assert g.relations.edges_between(4, 5) == [4, 5]
+    assert edges_between(g.relations, 4, 5) == [4, 5]
     assert g.relations.multi.to_bits() == [0, 0, 0, 1, 0, 0]
     assert g.relations.more == [4, 5]
     assert g.neighbors("Researcher", 4) == [5]
@@ -265,19 +265,23 @@ def test_criterion_4_bit_structure_suites():
             }
             t = K2Tree.build(n, cells, k)
             for r in range(1, n + 1):
-                assert t.row_neighbors(r) == sorted(c for rr, c in cells if rr == r)
+                assert [c for c, _ in t.row_leaves(r, 1, n)] == sorted(
+                    c for rr, c in cells if rr == r
+                )
             for c in range(1, n + 1):
-                assert t.col_neighbors(c) == sorted(r for r, cc in cells if cc == c)
+                assert [r for r, _ in t.col_leaves(c, 1, n)] == sorted(
+                    r for r, cc in cells if cc == c
+                )
             for _ in range(400):
                 r, c = rng.randint(1, n), rng.randint(1, n)
-                assert t.cell(r, c) == ((r, c) in cells)
+                assert cell(t, r, c) == ((r, c) in cells)
             for _ in range(50):
                 r1 = rng.randint(1, n); r2 = rng.randint(r1, n)
                 c1 = rng.randint(1, n); c2 = rng.randint(c1, n)
                 want = sorted(
                     (r, c) for r, c in cells if r1 <= r <= r2 and c1 <= c <= c2
                 )
-                assert t.range(r1, r2, c1, c2) == want
+                assert cells_in(t, r1, r2, c1, c2) == want
     # dynamic bit sequence against a naive replay
     d = DynBitSequence()
     ref = []
@@ -290,7 +294,9 @@ def test_criterion_4_bit_structure_suites():
             ref.insert(p - 1, b)
         elif roll < 0.8:
             p = rng.randint(1, len(ref))
-            assert d.remove(p) == ref.pop(p - 1)
+            bit = d.access(p)
+            d.remove_run(p, 1)
+            assert bit == ref.pop(p - 1)
         else:
             p = rng.randint(1, len(ref))
             ref[p - 1] ^= 1
@@ -315,7 +321,7 @@ def test_criterion_4_bit_structure_suites():
         c = rng.randint(0, 63)
         i = rng.randint(0, len(seq))
         assert s.rank(c, i) == seq[:i].count(c)
-    assert s.to_list() == seq
+    assert [s.access(i) for i in range(1, s.n + 1)] == seq
     elapsed = time.monotonic() - t0
     report("criterion 4: bit-structure suites", elapsed)
 

@@ -156,8 +156,8 @@ def test_schema_guard_regions_stay_empty():
     m = DenseAttributeMatrix.build(6, triples)
     a1, a2 = m._block("alpha")
     b1, b2 = m._block("beta")
-    assert m.matrix.range(4, 6, a1, a2) == []
-    assert m.matrix.range(1, 3, b1, b2) == []
+    assert m.matrix.range_leaves(4, 6, a1, a2) == []
+    assert m.matrix.range_leaves(1, 3, b1, b2) == []
 
 
 def test_dyn_sparse_last_write_wins():

@@ -125,44 +125,69 @@ def test_dyn_insert_examples():
         f.insert(0, 1)
 
 
-def test_dyn_replay_against_naive():
-    """10^4 random insert/remove/flip operations against a plain list."""
-    rng = random.Random(0xD1)
-    d = DynBitSequence()
-    ref = []
-    for step in range(10_000):
+@pytest.mark.parametrize("start, steps", [(0, 10_000), (7_000, 3_000)])
+def test_dyn_replay_against_naive(start, steps):
+    """Random inserts, zero runs, run removals and flips against a plain list,
+    every read checked after every write. Long runs, zero runs more often
+    below 5,000 bits and removals above, split chunks and empty them; the
+    7,000-bit start spans four chunks from the first write on."""
+    rng = random.Random(0xD1 + start)
+    ref = _random_bits(rng, start)
+    d = DynBitSequence(ref)
+    splits = drops = 0
+    for step in range(steps):
+        chunks = len(d._chunks)
         action = rng.random()
-        if action < 0.5 or not ref:
+        if action < 0.45 or not ref:
             p = rng.randint(1, len(ref) + 1)
             b = rng.randint(0, 1)
             d.insert(p, b)
             ref.insert(p - 1, b)
+        elif action < 0.55 and rng.random() * 10_000 > len(ref):
+            p = rng.randint(1, len(ref) + 1)
+            count = rng.randint(1, 2500)
+            d.insert_zeros(p, count)
+            ref[p - 1 : p - 1] = [0] * count
+        elif action < 0.55:
+            p = rng.randint(1, len(ref))
+            count = rng.randint(0, min(2500, len(ref) - p + 1))
+            d.remove_run(p, count)
+            del ref[p - 1 : p - 1 + count]
         elif action < 0.75:
             p = rng.randint(1, len(ref))
-            assert d.remove(p) == ref.pop(p - 1)
+            bit = d.access(p)
+            d.remove_run(p, 1)
+            assert bit == ref.pop(p - 1)
         else:
             p = rng.randint(1, len(ref))
             ref[p - 1] ^= 1
             d.set_bit(p, ref[p - 1])
+        splits += len(d._chunks) > chunks
+        drops += len(d._chunks) < chunks
         assert d.n == len(ref)
+        total = sum(ref)
+        assert d.ones == total
         if ref:
             p = rng.randint(1, len(ref))
             assert d.access(p) == ref[p - 1]
+            assert d.access_rank(p) == (ref[p - 1], sum(ref[:p]))
             i = rng.randint(0, len(ref))
             assert d.rank1(i) == sum(ref[:i])
-        total = sum(ref)
-        assert d.ones == total
+        # the j-th one (zero) sits at p when bit p is one (zero) and 1..p
+        # holds j of them
         if total:
             j = rng.randint(1, total)
-            want = [i + 1 for i, b in enumerate(ref) if b][j - 1]
-            assert d.select1(j) == want
+            p = d.select1(j)
+            assert ref[p - 1] == 1 and sum(ref[:p]) == j
         zeros = len(ref) - total
         if zeros:
             j = rng.randint(1, zeros)
-            want = [i + 1 for i, b in enumerate(ref) if not b][j - 1]
-            assert d.select0(j) == want
+            p = d.select0(j)
+            assert ref[p - 1] == 0 and p - sum(ref[:p]) == j
         if step % 250 == 0:
             assert d.to_bits() == ref
+    assert d.to_bits() == ref
+    assert splits >= 10 and drops >= 10
 
 
 def test_dyn_runs():
@@ -203,7 +228,7 @@ def test_access_rank_equals_access_and_rank():
     chunks = len(d._chunks)
     d.remove_run(1, d._lens[0])
     for _ in range(300):
-        d.remove(rng.randint(1, d.n))
+        d.remove_run(rng.randint(1, d.n), 1)
     assert len(d._chunks) < chunks
     _check_access_rank(d)
 
@@ -215,7 +240,7 @@ def test_dyn_sequence_examples():
     assert s.rank(0, 3) == 2
     assert s.select(1, 2) == 4
     s.insert(2, 2)
-    assert s.to_list() == [0, 2, 1, 0, 1]
+    assert [s.access(i) for i in range(1, 6)] == [0, 2, 1, 0, 1]
     assert s.access(2) == 2
     assert s.rank(9, 5) == 0
     with pytest.raises(NotFoundError):
@@ -245,7 +270,7 @@ def test_dyn_sequence_replay_against_naive():
         total = ref.count(c)
         j = rng.randint(1, total)
         assert s.select(c, j) == [i + 1 for i, x in enumerate(ref) if x == c][j - 1]
-    assert s.to_list() == ref
+    assert [s.access(i) for i in range(1, s.n + 1)] == ref
     totals = sum(s.rank(c, s.n) for c in range(64))
     assert totals == s.n
 
@@ -255,6 +280,6 @@ def test_dyn_sequence_alphabet_growth():
     s.insert(1, 1)
     s.insert(2, 0)
     s.insert(3, 700)  # forces capacity doubling past 1024
-    assert s.to_list() == [1, 0, 700]
+    assert [s.access(i) for i in range(1, 4)] == [1, 0, 700]
     assert s.rank(700, 3) == 1
     assert s.select(700, 1) == 3

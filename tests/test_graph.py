@@ -10,7 +10,7 @@ from attk2.gen import generate
 from attk2.graph import EDGE, NODE, UNDEFINED, build_graph
 from attk2.oracle import NaiveStore
 
-from conftest import running_bundle
+from conftest import edges_between, running_bundle
 
 
 def test_get_types(store):
@@ -77,7 +77,7 @@ def test_related(store):
 
 
 def test_relations_layer_shape(store):
-    assert store.relations.edges_between(4, 5) == [4, 5]
+    assert edges_between(store.relations, 4, 5) == [4, 5]
     assert store.relations.multi.to_bits() == [0, 0, 0, 1, 0, 0]
     assert store.relations.more == [4, 5]
 
@@ -161,7 +161,7 @@ def test_alternate_arity_matches_default(bundle):
             assert g4.neighbors(lab, u) == g2.neighbors(lab, u)
         for elab in g2.get_types(EDGE):
             assert g4.related(elab, u) == g2.related(elab, u)
-    assert g4.relations.edges_between(4, 5) == [4, 5]
+    assert edges_between(g4.relations, 4, 5) == [4, 5]
 
 
 def test_select_get_attribute_closure(store):

@@ -407,6 +407,38 @@ def test_load_checks_the_sparse_value_order(tmp_path, store, capsys):
             assert out == "" and err == "error: sparse index is not in value order\n"
 
 
+def test_load_checks_the_schema_order(tmp_path, store, capsys):
+    path = tmp_path / "x.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeTypes\n", encoding="utf-8")
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "Paper\tResearcher\n"
+    # `Paper` renamed `Zaper` wherever a node label is written, so the labels
+    # no longer ascend; `Topic` renamed `Title`, a second Title of Paper
+    cases = {
+        "labels do not ascend strictly": (b"Paper", b"Zaper", (io.SEC_NODE_SCHEMA, io.SEC_NODE_ATTRS)),
+        "'Paper' repeats an attribute name": (b"Topic", b"Title", (io.SEC_NODE_SCHEMA,)),
+    }
+    for message, (old, new, tags) in cases.items():
+        bad = data
+        for tag in tags:
+            offset, length = io.section_table(bad)[tag]
+            at = bad.find(old, offset, offset + length)
+            assert at >= 0
+            while at >= 0:
+                bad = _patched(bad, tag, at - offset, new)
+                at = bad.find(old, at, offset + length)
+        path.write_bytes(bad)
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path)
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_sparse_value_order_check():
     values = ["b", None, "a", "b", "", None]
     io._check_value_order(values, array("I", [4, 2, 0, 3, 1, 5]))

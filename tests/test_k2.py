@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from attk2.errors import InputError, NotFoundError
+from attk2.errors import InputError
 from attk2.k2 import DynK2Tree, K2Tree
+
+from conftest import cell, cells_in, leaf_ordinal
 
 
 def bits(s):
@@ -16,24 +18,24 @@ def test_build_empty_matrix():
     t = K2Tree.build(4, [], 2)
     assert t.T.to_bits() == bits("0000")
     assert t.L.to_bits() == []
-    assert t.cell(1, 1) == 0
-    assert t.row_neighbors(3) == []
-    assert t.range(1, 4, 1, 4) == []
+    assert cell(t, 1, 1) == 0
+    assert t.row_leaves(3, 1, 4) == []
+    assert cells_in(t, 1, 4, 1, 4) == []
 
 
 def test_build_single_level_identity():
     t = K2Tree.build(2, [(1, 1), (2, 2)], 2)
     assert t.T.to_bits() == []
     assert t.L.to_bits() == bits("1001")
-    assert t.cell(1, 1) == 1
-    assert t.cell(1, 2) == 0
-    assert t.row_neighbors(1) == [1]
-    assert t.col_neighbors(1) == [1]
+    assert cell(t, 1, 1) == 1
+    assert cell(t, 1, 2) == 0
+    assert [c for c, _ in t.row_leaves(1, 1, 2)] == [1]
+    assert [r for r, _ in t.col_leaves(1, 1, 2)] == [1]
 
 
 def test_full_two_by_two():
     t = K2Tree.build(2, [(r, c) for r in (1, 2) for c in (1, 2)], 2)
-    assert t.row_neighbors(2) == [1, 2]
+    assert [c for c, _ in t.row_leaves(2, 1, 2)] == [1, 2]
 
 
 def test_build_rejects_bad_input():
@@ -57,14 +59,14 @@ def test_eleven_by_eleven_padding():
     assert t.T.to_bits()[:4] == bits("1011")
     for r in range(1, 9):
         for c in range(9, 12):
-            assert t.cell(r, c) == 0
+            assert cell(t, r, c) == 0
     # padding invariance: building at the padded side answers identically
     t16 = K2Tree.build(16, cells, 2)
     for r in range(1, 12):
-        assert t.row_neighbors(r) == t16.row_neighbors(r)
+        assert t.row_leaves(r, 1, 11) == t16.row_leaves(r, 1, 16)
         for c in range(1, 12):
-            assert t.cell(r, c) == t16.cell(r, c)
-    assert t.range(1, 11, 1, 11) == t16.range(1, 11, 1, 11) == sorted(cells)
+            assert cell(t, r, c) == cell(t16, r, c)
+    assert cells_in(t, 1, 11, 1, 11) == cells_in(t16, 1, 11, 1, 11) == sorted(cells)
 
 
 def _leaf_order_key(r, c, n, k):
@@ -94,21 +96,25 @@ def test_queries_against_brute_force(k, density):
     assert t.ones == len(cells)
     for _ in range(300):
         r, c = rng.randint(1, n), rng.randint(1, n)
-        assert t.cell(r, c) == ((r, c) in cells)
+        assert cell(t, r, c) == ((r, c) in cells)
     for r in range(1, n + 1):
-        assert t.row_neighbors(r) == sorted(c for (rr, c) in cells if rr == r)
+        assert [c for c, _ in t.row_leaves(r, 1, n)] == sorted(
+            c for (rr, c) in cells if rr == r
+        )
     for c in range(1, n + 1):
-        assert t.col_neighbors(c) == sorted(r for (r, cc) in cells if cc == c)
-    assert t.range(1, n, 1, n) == sorted(cells)
+        assert [r for r, _ in t.col_leaves(c, 1, n)] == sorted(
+            r for (r, cc) in cells if cc == c
+        )
+    assert cells_in(t, 1, n, 1, n) == sorted(cells)
     for _ in range(60):
         r1 = rng.randint(1, n); r2 = rng.randint(r1, n)
         c1 = rng.randint(1, n); c2 = rng.randint(c1, n)
         want = sorted(
             (r, c) for (r, c) in cells if r1 <= r <= r2 and c1 <= c <= c2
         )
-        assert t.range(r1, r2, c1, c2) == want
+        assert cells_in(t, r1, r2, c1, c2) == want
     # row and column windows, each leaf's L position found through its ordinal
-    pos = {rc: t.L.select1(t.leaf_ordinal(*rc)) - 1 for rc in cells}
+    pos = {rc: t.L.select1(leaf_ordinal(t, *rc)) - 1 for rc in cells}
     for _ in range(200):
         line = rng.randint(1, n)
         lo = rng.randint(1, n)
@@ -128,28 +134,27 @@ def test_leaf_ordinal_matches_enumeration():
     t = K2Tree.build(n, cells, 2)
     order = sorted(cells, key=lambda rc: _leaf_order_key(rc[0], rc[1], t.n, 2))
     for i, (r, c) in enumerate(order, start=1):
-        assert t.leaf_ordinal(r, c) == i
+        assert leaf_ordinal(t, r, c) == i
     missing = next(
         (r, c)
         for r in range(1, n + 1)
         for c in range(1, n + 1)
         if (r, c) not in cells
     )
-    with pytest.raises(NotFoundError):
-        t.leaf_ordinal(*missing)
+    assert leaf_ordinal(t, *missing) == 0
 
 
 def test_leaf_ordinal_single_cell():
     t = K2Tree.build(7, [(3, 6)], 2)
-    assert t.leaf_ordinal(3, 6) == 1
+    assert leaf_ordinal(t, 3, 6) == 1
 
 
 def test_range_rejects_malformed_rectangle():
     t = K2Tree.build(8, [(1, 1)], 2)
     with pytest.raises(InputError):
-        t.range(3, 2, 1, 1)
+        t.range_leaves(3, 2, 1, 1)
     with pytest.raises(IndexError):
-        t.range(1, 9, 1, 1)
+        t.range_leaves(1, 9, 1, 1)
 
 
 def test_space_on_clustered_matrix():
@@ -170,8 +175,8 @@ def test_space_on_clustered_matrix():
 def test_dyn_set_examples():
     d = DynK2Tree(4, k=2)
     d.set(3, 2)
-    assert d.cell(3, 2) == 1
-    assert sum(d.cell(r, c) for r in range(1, 5) for c in range(1, 5)) == 1
+    assert cell(d, 3, 2) == 1
+    assert sum(cell(d, r, c) for r in range(1, 5) for c in range(1, 5)) == 1
     # set then clear leaves a logically (and physically) empty tree
     d.clear(3, 2)
     fresh = DynK2Tree(4, k=2)
@@ -196,16 +201,16 @@ def test_dyn_replay_against_matrix():
             assert present == bool(ref[r - 1][c - 1])
             ref[r - 1][c - 1] = 0
         rr, cc = rng.randint(1, 64), rng.randint(1, 64)
-        assert d.cell(rr, cc) == ref[rr - 1][cc - 1]
+        assert cell(d, rr, cc) == ref[rr - 1][cc - 1]
     cells = [
         (r + 1, c + 1) for r in range(64) for c in range(64) if ref[r][c]
     ]
     static = K2Tree.build(64, cells, 2)
     for r in range(1, 65):
-        assert d.row_neighbors(r) == static.row_neighbors(r)
+        assert d.row_leaves(r, 1, 64) == static.row_leaves(r, 1, 64)
     for c in range(1, 65):
-        assert d.col_neighbors(c) == static.col_neighbors(c)
-    assert d.range(1, 64, 1, 64) == static.range(1, 64, 1, 64)
+        assert d.col_leaves(c, 1, 64) == static.col_leaves(c, 1, 64)
+    assert cells_in(d, 1, 64, 1, 64) == cells_in(static, 1, 64, 1, 64)
     assert d.T.to_bits() == static.T.to_bits()
     assert d.L.to_bits() == static.L.to_bits()
 
@@ -231,7 +236,7 @@ def test_dyn_matches_static(k):
     assert d.L.to_bits() == static.L.to_bits()
     assert d.range_leaves(1, n, 1, n) == static.range_leaves(1, n, 1, n)
     for r in range(1, n + 1):
-        assert d.row_neighbors(r) == static.row_neighbors(r)
+        assert d.row_leaves(r, 1, d.n) == static.row_leaves(r, 1, n)
     for _ in range(200):
         r, c = rng.randint(1, n), rng.randint(1, n)
         lo = rng.randint(1, n)
@@ -254,7 +259,7 @@ def test_build_hands_over_the_leaf_order(k):
     cells = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)]
     t, order = K2Tree.build_with_order(n, cells, k)
     assert sorted(order) == sorted(set(cells))
-    assert [t.leaf_ordinal(r, c) for r, c in order] == list(range(1, len(order) + 1))
+    assert [leaf_ordinal(t, r, c) for r, c in order] == list(range(1, len(order) + 1))
     assert order == sorted(order, key=lambda rc: _leaf_order_key(rc[0], rc[1], t.n, k))
 
 
@@ -264,12 +269,12 @@ def test_dyn_grow_preserves_cells():
     d.set(2, 2)
     d.grow()
     assert d.n == 4
-    assert d.cell(1, 2) == 1 and d.cell(2, 2) == 1
-    assert d.cell(4, 4) == 0
+    assert cell(d, 1, 2) == 1 and cell(d, 2, 2) == 1
+    assert cell(d, 4, 4) == 0
     d.set(4, 3)
     d.grow()
     assert d.n == 8
-    assert d.range(1, 8, 1, 8) == [(1, 2), (2, 2), (4, 3)]
+    assert cells_in(d, 1, 8, 1, 8) == [(1, 2), (2, 2), (4, 3)]
     # growing an empty tree keeps it empty and canonical
     e = DynK2Tree(2, k=2)
     e.grow()
@@ -286,4 +291,4 @@ def test_dyn_set_returns_leaf_ordinal():
     assert (ordinal, created) == (1, False)
     ordinal, _pos, created = d.set(1, 1)
     assert created and ordinal == 1  # (1,1) precedes (3,1) in leaf order
-    assert d.leaf_ordinal(3, 1) == 2
+    assert leaf_ordinal(d, 3, 1) == 2
