@@ -1,25 +1,29 @@
 """Attribute storage: sparse value lists and dense value matrices.
 
-A sparse attribute of a label is a value list indexed by ``id - limit + 1``
-(limit being the label's lowest id) with a secondary permutation sorted by
-value, so equality lookups are binary searches. Dense attributes of one kind
-share a single k²-tree whose rows are element ids and whose columns are value
-columns, grouped in per-attribute blocks; a one at (i, j) means element i
-takes the j-th column's value. Beside the k²-tree, which answers row accesses,
-the same ones are kept column-major as value postings: one run of ascending
-element ids per column, so a select bisects its id range inside one run.
-Absent values are represented as None, which sorts after every real value in
-the secondary index.
+A sparse attribute of a label is a value list indexed by ``id - limit``
+(limit being the label's lowest id, or 1 where the dynamic store indexes by
+rank within the label), with None for an absent value, and a value-order
+index: an ``array('I')`` of the positions of the present values only, sorted
+by value and equal values by position, so a select is one C-level bisect
+and a walk over its answer, and a dynamic write takes three bisects and one
+insert or delete for each index entry it changes.
 
-The dynamic counterparts keep one growable list per (label, attribute),
-indexed by each element's rank within its label, and one dynamic
+Dense attributes of one kind share a single k²-tree whose rows are element
+ids and whose columns are value columns, grouped in per-attribute blocks; a
+one at (i, j) means element i takes the j-th column's value. Beside the
+k²-tree, which answers row accesses, the same ones are kept column-major as
+value postings: one run of ascending element ids per column, so a select
+bisects its id range inside one run.
+
+The dynamic store keeps one growable `SparseAttribute` per (label,
+attribute), indexed by each element's rank within its label, and one dynamic
 k²-tree per dense attribute with columns appended in first-seen order.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
 
@@ -28,9 +32,11 @@ from .k2 import DynK2Tree, K2Tree
 
 
 class SparseAttribute:
-    """Values of one sparse attribute over one label's contiguous id range."""
+    """Values of one sparse attribute over a contiguous id range that starts
+    at `limit`: a label's ids in the static store, its element ranks (limit
+    1) in the dynamic one."""
 
-    __slots__ = ("label", "att", "limit", "values", "lex_index", "present")
+    __slots__ = ("label", "att", "limit", "values", "lex_index")
 
     def __init__(self, label: str, att: str, limit: int, values: list, lex_index=None):
         self.label = label
@@ -38,15 +44,15 @@ class SparseAttribute:
         self.limit = limit
         self.values = values
         if lex_index is None:
-            filled = sorted(
-                (i for i, v in enumerate(values) if v is not None),
-                key=values.__getitem__,
+            lex_index = array(
+                "I",
+                sorted(
+                    (i for i, v in enumerate(values) if v is not None),
+                    key=values.__getitem__,
+                ),
             )
-            absent = [i for i, v in enumerate(values) if v is None]
-            lex_index = array("I", filled + absent)
+        # positions of the present values by value, equal values by position
         self.lex_index = lex_index
-        # value-holding prefix length of lex_index; absents sort last
-        self.present = len(values) - values.count(None)
 
     def get(self, elem_id: int):
         pos = elem_id - self.limit
@@ -56,13 +62,36 @@ class SparseAttribute:
             )
         return self.values[pos]
 
+    def set(self, elem_id: int, value):
+        """Last-write-wins assignment (None clears), extending the list with
+        absents up to the id."""
+        pos = elem_id - self.limit
+        values = self.values
+        if pos >= len(values):
+            values.extend([None] * (pos + 1 - len(values)))
+        old = values[pos]
+        if old == value:
+            return
+        if old is not None:
+            del self.lex_index[self._slot(old, pos)]
+        values[pos] = value
+        if value is not None:
+            self.lex_index.insert(self._slot(value, pos), pos)
+
+    def _slot(self, value: str, pos: int) -> int:
+        """Where position pos, holding `value`, sits (or goes) in lex_index."""
+        idx = self.lex_index
+        key = self.values.__getitem__
+        lo = bisect_left(idx, value, key=key)
+        return bisect_left(idx, pos, lo, bisect_right(idx, value, lo, key=key))
+
     def select(self, value: str) -> list[int]:
         """Ascending ids whose value equals `value`."""
         idx = self.lex_index
         vals = self.values
-        n = self.present
-        # equal values are indexed in ascending position (checked at load)
-        lo = bisect_left(idx, value, 0, n, key=vals.__getitem__)
+        n = len(idx)
+        lo = bisect_left(idx, value, key=vals.__getitem__)
+        # a walk, not a second bisect: most answers hold a value or two
         out = []
         while lo < n and vals[idx[lo]] == value:
             out.append(idx[lo] + self.limit)
@@ -165,43 +194,6 @@ class DenseAttributeMatrix:
         ids = self.ids
         first = bisect_left(ids, lo, self.offsets[col - 1], self.offsets[col])
         return ids[first : bisect_right(ids, hi, first, self.offsets[col])].tolist()
-
-
-class DynSparseAttribute:
-    """Growable sparse attribute list, positions given by rank within label."""
-
-    __slots__ = ("label", "att", "values", "lex_index")
-
-    def __init__(self, label: str, att: str):
-        self.label = label
-        self.att = att
-        self.values: list = []
-        self.lex_index: list[tuple[str, int]] = []  # (value, position), ascending
-
-    def set(self, pos: int, value):
-        """Assign the value at 1-based position pos, extending with absents."""
-        while len(self.values) < pos:
-            self.values.append(None)
-        old = self.values[pos - 1]
-        if old is not None:
-            i = bisect_left(self.lex_index, (old, pos - 1))
-            del self.lex_index[i]
-        self.values[pos - 1] = value
-        if value is not None:
-            insort(self.lex_index, (value, pos - 1))
-
-    def get(self, pos: int):
-        if pos < 1:
-            raise IndexError(f"position {pos} must be positive")
-        if pos > len(self.values):
-            return None
-        return self.values[pos - 1]
-
-    def select(self, value: str) -> list[int]:
-        """Ascending 1-based positions holding the value."""
-        lo = bisect_left(self.lex_index, (value,))
-        hi = bisect_right(self.lex_index, (value, len(self.values)))
-        return [pos + 1 for _, pos in self.lex_index[lo:hi]]
 
 
 class DynDenseAttribute:

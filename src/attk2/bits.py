@@ -72,13 +72,8 @@ class BitSequence:
         return bs
 
     def _build_directory(self):
-        cum = [0] * (len(self._words) + 1)
-        total = 0
-        for i, w in enumerate(self._words):
-            total += w.bit_count()
-            cum[i + 1] = total
-        self._cum = cum
-        self.ones = total
+        self._cum = list(accumulate(map(int.bit_count, self._words), initial=0))
+        self.ones = self._cum[-1]
 
     def __len__(self) -> int:
         return self.n
@@ -111,19 +106,12 @@ class BitSequence:
         """Position of the j-th one (1-based)."""
         if j < 1 or j > self.ones:
             raise NotFoundError(f"select1({j}): sequence has {self.ones} ones")
-        # binary search the per-word directory
         cum = self._cum
-        lo, hi = 0, len(self._words) - 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if cum[mid + 1] >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        word = self._words[lo]
-        for _ in range(j - cum[lo] - 1):
+        w = bisect_left(cum, j) - 1  # the word holding the j-th one
+        word = self._words[w]
+        for _ in range(j - cum[w] - 1):
             word &= word - 1
-        return (lo << 6) + (word & -word).bit_length()
+        return (w << 6) + (word & -word).bit_length()
 
     def to_bits(self) -> list[int]:
         words = self._words

@@ -9,7 +9,7 @@ ranks of later edges are stable) and the id is reported not-found afterwards.
 
 from __future__ import annotations
 
-from .attrstore import DynDenseAttribute, DynSparseAttribute
+from .attrstore import DynDenseAttribute, SparseAttribute
 from .errors import InputError, NotFoundError
 from .graph import EDGE, NODE, UNDEFINED, _dense, _schema, _sparse, build_graph
 from .io import export_bundle
@@ -27,8 +27,8 @@ class DynAttK2Graph:
         self.k = k
         self.node_schema = DynTypeTable()
         self.edge_schema = DynTypeTable()
-        self.node_sparse: dict[tuple[str, str], DynSparseAttribute] = {}
-        self.edge_sparse: dict[tuple[str, str], DynSparseAttribute] = {}
+        self.node_sparse: dict[tuple[str, str], SparseAttribute] = {}
+        self.edge_sparse: dict[tuple[str, str], SparseAttribute] = {}
         self.node_dense: dict[str, DynDenseAttribute] = {}
         self.edge_dense: dict[str, DynDenseAttribute] = {}
         self.relations = DynMultiEdge(k=k)
@@ -65,7 +65,7 @@ class DynAttK2Graph:
             if att not in stores:
                 stores[att] = DynDenseAttribute(att, self.k)
         else:
-            self._sparse(kind)[(label, att)] = DynSparseAttribute(label, att)
+            self._sparse(kind)[(label, att)] = SparseAttribute(label, att, 1, [])
 
     # -- element mutations ----------------------------------------------------
 
@@ -150,7 +150,9 @@ class DynAttK2Graph:
         if info[1]:
             return self._dense(kind)[att].get(elem_id)
         _, rank = schema.rank_in_label(elem_id)
-        return self._sparse(kind)[(label, att)].get(rank)
+        store = self._sparse(kind)[(label, att)]
+        # values reach only as far as the last rank ever set
+        return store.get(rank) if rank <= len(store.values) else None
 
     def select(self, kind: str, label: str, att: str, value: str):
         schema = self._schema(kind)

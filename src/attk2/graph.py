@@ -145,10 +145,7 @@ class AttK2Graph:
         _, dense = info
         if dense:
             return self._dense(kind).get(elem_id, att)
-        store = self._sparse(kind).get((label, att))
-        if store is None:
-            return None
-        return store.get(elem_id)
+        return self._sparse(kind)[(label, att)].get(elem_id)
 
     def select(self, kind: str, label: str, att: str, value: str):
         """Ascending ids of `label` taking `value` for `att`; UNDEFINED when
@@ -163,10 +160,7 @@ class AttK2Graph:
         _, dense = info
         if dense:
             return self._dense(kind).select(att, value, lo, hi)
-        store = self._sparse(kind).get((label, att))
-        if store is None:
-            return []
-        return store.select(value)
+        return self._sparse(kind)[(label, att)].select(value)
 
     def neighbors(self, node_label: str, node_id: int) -> list[int]:
         """Targets of node_id whose label is node_label, ascending."""

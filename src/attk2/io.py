@@ -9,7 +9,7 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format, version 3: magic "ATTK2TRE", u32 LE version, then a section
+Binary format, version 4: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
 before it, which the loader checks before parsing the section; the table's
@@ -23,11 +23,15 @@ absent sparse value, so it stays distinct from ""), then u64 byte size and
 all present strings concatenated as one UTF-8 blob. The loader decodes each
 blob once and cuts it at the running sums of the lengths. A u32 array is a
 u64 count and the packed u32 values; the loader reads it into an
-`array('I')` in one copy. Sparse value-order indexes are u32 arrays, and each
-attrs section follows its dense k²-tree with the dense value postings as two
-u32 arrays: the columns + 1 run offsets and the element ids, column-major.
-The writer is deterministic, so saving a loaded store reproduces the file
-byte for byte. Version 1 and 2 files are rejected; rebuild them from text.
+`array('I')` in one copy. Each attrs section opens with one entry per sparse
+attribute of its schema, in schema order (labels ascending, each label's
+sparse attributes in declaration order), each entry only the value string
+table and the value-order index (a u32 array of the present values'
+positions); the schema fixes the label, name and id range of every entry.
+Then come the dense k²-tree and the dense value postings as two u32 arrays:
+the columns + 1 run offsets and the element ids, column-major. The writer is
+deterministic, so saving a loaded store reproduces the file byte for byte.
+Files of versions 1 to 3 are rejected; rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
 on: each k²-tree's side is the padded side of its logical size and
@@ -35,10 +39,10 @@ on: each k²-tree's side is the padded side of its logical size and
 postings' offsets never decrease and end at the number of ids, which equals
 the dense k²-tree's ones; each run ascends strictly inside 1..n_logical and
 no id repeats inside one attribute's block; each schema section's labels
-ascend strictly and no label repeats an attribute name; sparse ranges match
-their labels; each sparse value-order index is a permutation that lists the
-present values by value, equal values by position, then the absent ones by
-position; id maps hold no duplicate.
+ascend strictly and no label repeats an attribute name; each sparse value
+list holds one value per id of its label; each sparse value-order index
+lists the present values' positions by value, equal values by position; id
+maps hold no duplicate.
 """
 
 from __future__ import annotations
@@ -50,20 +54,20 @@ import tempfile
 import zlib
 from array import array
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import ge, is_not, le, lt, ne, not_, setitem, sub
+from operator import ge, le, lt, ne, not_, setitem, sub
 from pathlib import Path
 from typing import NamedTuple
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
-from .errors import CorruptFileError, InputError, NotFoundError
+from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
 from .k2 import K2Tree, _padded_side
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
 
 MAGIC = b"ATTK2TRE"
-VERSION = 3
+VERSION = 4
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -501,15 +505,19 @@ def _read_k2(r: _Reader) -> K2Tree:
     return K2Tree(k, n, n_logical, t, l)
 
 
-def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
-    items = sorted(sparse.items(), key=lambda kv: kv[0])
-    w.u64(len(items))
-    for (label, att), store in items:
-        w.text(label)
-        w.text(att)
-        w.u64(store.limit)
-        w.texts(store.values)
-        w.u32_array(store.lex_index)
+def _sparse_order(schema: TypeTable):
+    """(label, attribute) of every sparse attribute, in file order: labels
+    ascending, each label's attributes in declaration order."""
+    for label in schema.label_list():
+        for att, dense in schema.attrs_of(label):
+            if not dense:
+                yield label, att
+
+
+def _write_attrs(w: _Writer, schema: TypeTable, sparse: dict, dense: DenseAttributeMatrix):
+    for key in _sparse_order(schema):
+        w.texts(sparse[key].values)
+        w.u32_array(sparse[key].lex_index)
     w.u32(1 if dense.matrix is not None else 0)
     if dense.matrix is not None:
         _write_k2(w, dense.matrix)
@@ -524,23 +532,16 @@ def _write_attrs(w: _Writer, sparse: dict, dense: DenseAttributeMatrix):
 
 def _read_attrs(r: _Reader, schema: TypeTable):
     sparse = {}
-    for _ in range(r.u64()):
-        label = r.text()
-        att = r.text()
-        limit = r.u64()
+    for label, att in _sparse_order(schema):
+        lo, hi = schema.ids_of(label)
         values = r.texts(absent=True)
-        lex = r.u32_array()
-        _check_value_order(values, lex)
-        try:
-            lo, hi = schema.ids_of(label)
-        except NotFoundError:
-            raise CorruptFileError(f"sparse attribute of unknown label {label!r}") from None
-        info = schema.attribute_info(label, att)
-        if info is None or info[1] or limit != lo or len(values) != hi - lo + 1:
+        if len(values) != hi - lo + 1:
             raise CorruptFileError(
                 f"sparse attribute {label}.{att} does not match its label's id range"
             )
-        sparse[(label, att)] = SparseAttribute(label, att, limit, values, lex)
+        lex = r.u32_array()
+        _check_value_order(values, lex)
+        sparse[(label, att)] = SparseAttribute(label, att, lo, values, lex)
     matrix = _read_k2(r) if r.u32() else None
     offsets = r.u32_array()
     ids = r.u32_array()
@@ -560,26 +561,19 @@ def _read_attrs(r: _Reader, schema: TypeTable):
 
 def _check_value_order(values: list, lex: array):
     """Check that a sparse value-order index lists the positions of the
-    present values by value, equal values by position, then the positions of
-    the absent values in ascending order; all passes run in C."""
-    count = len(values)
-    if len(lex) != count or (lex and max(lex) >= count):
+    present values by value, equal values by position; all passes run in C."""
+    present = len(values) - values.count(None)
+    if len(lex) != present or (lex and max(lex) >= len(values)):
         raise CorruptFileError("sparse index does not match value list")
-    present = count - values.count(None)
-    head, tail = lex[:present], lex[present:]
-    order = list(map(values.__getitem__, head))
-    if (
-        None in order
-        or any(map(is_not, map(values.__getitem__, tail), repeat(None)))
-        or not all(map(lt, tail, tail[1:]))
-    ):
-        raise CorruptFileError("sparse index does not list the absent values last")
+    order = list(map(values.__getitem__, lex))
+    if None in order:
+        raise CorruptFileError("sparse index lists an absent value")
     # the steps i where the value does not grow: it must stay equal and the
-    # position grow, so the head holds each present position once
+    # position grow, so the index holds each present position once
     ties = list(compress(range(1, present), map(ge, order, islice(order, 1, None))))
     before = list(map((-1).__add__, ties))
     if any(map(ne, map(order.__getitem__, before), map(order.__getitem__, ties))) or any(
-        map(ge, map(head.__getitem__, before), map(head.__getitem__, ties))
+        map(ge, map(lex.__getitem__, before), map(lex.__getitem__, ties))
     ):
         raise CorruptFileError("sparse index is not in value order")
 
@@ -676,9 +670,9 @@ def save_db(graph: AttK2Graph, path):
         elif tag == SEC_EDGE_SCHEMA:
             _write_schema(w, graph.edge_schema)
         elif tag == SEC_NODE_ATTRS:
-            _write_attrs(w, graph.node_sparse, graph.node_dense)
+            _write_attrs(w, graph.node_schema, graph.node_sparse, graph.node_dense)
         elif tag == SEC_EDGE_ATTRS:
-            _write_attrs(w, graph.edge_sparse, graph.edge_dense)
+            _write_attrs(w, graph.edge_schema, graph.edge_sparse, graph.edge_dense)
         elif tag == SEC_RELATIONS:
             _write_relations(w, graph.relations)
         else:

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from attk2 import io
-from attk2.attrstore import (
-    DenseAttributeMatrix,
-    DynDenseAttribute,
-    DynSparseAttribute,
-    SparseAttribute,
-)
+from attk2.attrstore import DenseAttributeMatrix, DynDenseAttribute, SparseAttribute
 from attk2.errors import InputError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
@@ -48,7 +43,7 @@ def test_sparse_select(names):
 def test_sparse_absent_values():
     sa = SparseAttribute("L", "a", 1, ["x", None, "x", None, ""])
     assert sa.get(2) is None
-    assert sa.present == 3
+    assert len(sa.lex_index) == 3  # the index holds present values only
     assert sa.select("x") == [1, 3]
     assert sa.select("") == [5]  # literal empty string is a real value
 
@@ -161,11 +156,13 @@ def test_schema_guard_regions_stay_empty():
 
 
 def test_dyn_sparse_last_write_wins():
-    sa = DynSparseAttribute("L", "a")
+    # the dynamic store's form: ranks within the label, limit 1, grown by set
+    sa = SparseAttribute("L", "a", 1, [])
     sa.set(2, "v1")
     assert sa.get(2) == "v1"
     assert sa.get(1) is None
-    assert sa.get(9) is None
+    with pytest.raises(IndexError):
+        sa.get(9)
     sa.set(2, "v2")
     assert sa.get(2) == "v2"
     assert sa.select("v1") == []
@@ -173,6 +170,35 @@ def test_dyn_sparse_last_write_wins():
     sa.set(2, None)
     assert sa.get(2) is None
     assert sa.select("v2") == []
+    assert sa.lex_index.tolist() == []
+
+
+def test_sparse_set_replay_against_mapping():
+    # sets, overwrites with an equal or a different value, clears, and long
+    # runs of equal values across positions, checked after every step
+    rng = random.Random(0x5A)
+    sa = SparseAttribute("L", "a", 4, [])
+    ref = {}
+    for step in range(3000):
+        elem = rng.randint(4, 140)
+        roll = rng.random()
+        if roll < 0.2:
+            value = None
+        elif roll < 0.3 and elem in ref:
+            value = ref[elem]
+        else:
+            value = rng.choice(["x", "x", "x", "y", "", "zé"]) + str(rng.randint(0, step % 3))
+        sa.set(elem, value)
+        if value is None:
+            ref.pop(elem, None)
+        else:
+            ref[elem] = value
+        io._check_value_order(sa.values, sa.lex_index)
+        probe = rng.randint(4, 3 + len(sa.values))
+        assert sa.get(probe) == ref.get(probe)
+        for want in {value, rng.choice(list(ref.values()) or ["x0"])} - {None}:
+            assert sa.select(want) == sorted(e for e, v in ref.items() if v == want)
+    assert sorted(ref) == [e for e in range(4, 4 + len(sa.values)) if sa.get(e) is not None]
 
 
 def test_dyn_dense_set_and_update():

@@ -269,7 +269,9 @@ def test_dyn_sequence_replay_against_naive():
         c = ref[rng.randrange(len(ref))]
         total = ref.count(c)
         j = rng.randint(1, total)
-        assert s.select(c, j) == [i + 1 for i, x in enumerate(ref) if x == c][j - 1]
+        # the j-th c sits at p when ref holds c there and j c's up to p
+        p = s.select(c, j)
+        assert ref[p - 1] == c and ref[:p].count(c) == j
     assert [s.access(i) for i in range(1, s.n + 1)] == ref
     totals = sum(s.rank(c, s.n) for c in range(64))
     assert totals == s.n

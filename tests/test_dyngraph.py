@@ -86,6 +86,18 @@ def test_set_attribute_last_write_wins():
         g.set_attribute(NODE, 1, "age", "9")
 
 
+def test_sparse_values_past_the_last_set_rank_read_absent():
+    g = make_tiny()
+    g.add_node("User", [("name", "ann")])
+    g.add_node("User")
+    g.add_node("User", [("tier", "gold")])
+    assert len(g.node_sparse[("User", "name")].values) == 1
+    assert [g.get_attribute(NODE, i, "name") for i in (1, 2, 3)] == ["ann", None, None]
+    g.set_attribute(NODE, 3, "name", "cy")
+    assert [g.get_attribute(NODE, i, "name") for i in (1, 2, 3)] == ["ann", None, "cy"]
+    assert g.select(NODE, "User", "name", "cy") == [3]
+
+
 def test_dense_values_append_columns_at_end():
     g = make_tiny()
     g.add_node("User", [("tier", "gold")])

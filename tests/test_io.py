@@ -222,7 +222,7 @@ def test_load_rejects_version_1(tmp_path, store, capsys):
     io.save_db(store, path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeTypes\n", encoding="utf-8")
-    for version in (1, 2):
+    for version in (1, 2, 3):
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(io.MAGIC), version)
         path.write_bytes(bytes(data))
@@ -243,6 +243,51 @@ def _patched(data: bytes, tag: int, at: int, raw: bytes) -> bytes:
     return bytes(out)
 
 
+def _with_payload(data: bytes, tag: int, payload: bytes) -> bytes:
+    """`data` with section `tag`'s payload replaced by `payload` (checksum
+    appended) and the section table rewritten for the new lengths."""
+    table = io.section_table(data)
+    bodies = [bytes(data[o : o + n]) for o, n in table.values()]
+    bodies[list(table).index(tag)] = payload + struct.pack("<I", zlib.crc32(payload))
+    out = bytearray(data[: len(io.MAGIC) + 8])
+    offset = len(out) + 20 * len(table)
+    for t, body in zip(table, bodies):
+        out += struct.pack("<IQQ", t, offset, len(body))
+        offset += len(body)
+    return bytes(out + b"".join(bodies))
+
+
+def test_load_needs_one_entry_per_sparse_attribute(tmp_path, store, capsys):
+    path = tmp_path / "e.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # the node attributes open with the entries of Paper.Title, Paper.Topic,
+    # Researcher.Name and Researcher.University: a string table and an index each
+    offset, length = io.section_table(data)[io.SEC_NODE_ATTRS]
+    payload = data[offset : offset + length - 4]
+    r = io._Reader(payload)
+    r.texts(absent=True)
+    r.u32_array()
+    title, rest = payload[: r.pos], payload[r.pos :]
+    assert _with_payload(data, io.SEC_NODE_ATTRS, title + rest) == data
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeAttribute\t1\tTitle\n", encoding="utf-8")
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "Compressing graphs\n"
+    cases = {
+        "Paper.Topic does not match": rest,  # Title's entry cut out
+        "Researcher.Name does not match": title + title + rest,  # Title's entry twice
+    }
+    for message, attrs in cases.items():
+        path.write_bytes(_with_payload(data, io.SEC_NODE_ATTRS, attrs))
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path)
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_load_checks_sections_past_their_checksums(tmp_path, store):
     path = tmp_path / "s.db"
     io.save_db(store, path)
@@ -252,14 +297,20 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
     offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
     assert struct.unpack_from("<Q5IQ5s", data, offset) == (5, 2, 2, 2, 2, 2, 5, b"12345")
     blob = 8 + 5 * 4 + 8
-    # the node attributes open with the u64 number of sparse attributes;
-    # the first, Paper.Title, gives its two names and then its u64 limit
-    limit = 8 + (8 + len("Paper")) + (8 + len("Title"))
+    # the node attributes open with Paper.Title's entry: its string table
+    # (u64 count 2, two u32 lengths, u64 byte size 33, blob) and its index
+    # (u64 count 2, two u32 positions); one value of 41 bytes fills as many
+    attrs, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
+    title = struct.pack("<Q2IQ", 2, 19, 16, 33) + b"Compressing graphsGraph databases"
+    title += struct.pack("<Q2I", 2, 0, 1)
+    assert data[attrs : attrs + len(title)] == title
+    one_value = struct.pack("<QIQ", 1, 42, 41) + b"x" * 41 + struct.pack("<QI", 1, 0)
+    assert len(one_value) == len(title)
     cases = {
         "string lengths do not match": (io.SEC_ID_MAPS, 8, struct.pack("<I", 3)),
         "not valid UTF-8": (io.SEC_ID_MAPS, blob, b"\xff"),
         "absent entry": (io.SEC_ID_MAPS, 8, struct.pack("<II", 0, 3)),
-        "id range": (io.SEC_NODE_ATTRS, limit, struct.pack("<Q", 2)),
+        "Paper.Title does not match its label's id range": (io.SEC_NODE_ATTRS, 0, one_value),
         "duplicate external id": (io.SEC_ID_MAPS, blob, b"2"),
     }
     for message, (tag, at, raw) in cases.items():
@@ -415,10 +466,11 @@ def test_load_checks_the_schema_order(tmp_path, store, capsys):
     script.write_text("GetNodeTypes\n", encoding="utf-8")
     assert main(["query", "--db", str(path), "--script", str(script)]) == 0
     assert capsys.readouterr().out == "Paper\tResearcher\n"
-    # `Paper` renamed `Zaper` wherever a node label is written, so the labels
-    # no longer ascend; `Topic` renamed `Title`, a second Title of Paper
+    # `Paper` renamed `Zaper` in the node schema, the one place a label is
+    # written, so the labels no longer ascend; `Topic` renamed `Title`, a
+    # second Title of Paper
     cases = {
-        "labels do not ascend strictly": (b"Paper", b"Zaper", (io.SEC_NODE_SCHEMA, io.SEC_NODE_ATTRS)),
+        "labels do not ascend strictly": (b"Paper", b"Zaper", (io.SEC_NODE_SCHEMA,)),
         "'Paper' repeats an attribute name": (b"Topic", b"Title", (io.SEC_NODE_SCHEMA,)),
     }
     for message, (old, new, tags) in cases.items():
@@ -441,12 +493,12 @@ def test_load_checks_the_schema_order(tmp_path, store, capsys):
 
 def test_sparse_value_order_check():
     values = ["b", None, "a", "b", "", None]
-    io._check_value_order(values, array("I", [4, 2, 0, 3, 1, 5]))
+    io._check_value_order(values, array("I", [4, 2, 0, 3]))
     io._check_value_order(values, SparseAttribute("L", "x", 1, values).lex_index)
     cases = {
-        "does not match": ([4, 2, 0, 3, 1], [4, 2, 0, 3, 1, 6]),
-        "absent values last": ([4, 2, 0, 1, 3, 5], [4, 2, 0, 3, 5, 1], [4, 2, 0, 3, 1, 1]),
-        "not in value order": ([2, 4, 0, 3, 1, 5], [4, 2, 3, 0, 1, 5], [4, 2, 0, 0, 1, 5]),
+        "does not match": ([4, 2, 0], [4, 2, 0, 3, 1], [4, 2, 0, 6]),
+        "lists an absent value": ([4, 2, 0, 1], [5, 2, 0, 3]),
+        "not in value order": ([2, 4, 0, 3], [4, 2, 3, 0], [4, 2, 0, 0]),
     }
     for message, lexes in cases.items():
         for lex in lexes:
