@@ -6,14 +6,17 @@ rank within the label), with None for an absent value, and a value-order
 index: an ``array('I')`` of the positions of the present values only, sorted
 by value and equal values by position, so a select is one C-level bisect
 and a walk over its answer, and a dynamic write takes three bisects and one
-insert or delete for each index entry it changes.
+insert or delete for each index entry it changes. The index is derived from
+the values, at build and at load alike.
 
 Dense attributes of one kind share a single k²-tree whose rows are element
 ids and whose columns are value columns, grouped in per-attribute blocks; a
-one at (i, j) means element i takes the j-th column's value. Beside the
-k²-tree, which answers row accesses, the same ones are kept column-major as
-value postings: one run of ascending element ids per column, so a select
-bisects its id range inside one run.
+one at (i, j) means element i takes the j-th column's value. A row read
+answers `get`. A select bisects its id range in its column's ascending ids,
+which the column's first select derives with one column descent of the tree
+and keeps. An element with two ones in one attribute's block is corrupt:
+the row read that finds it, and the column derivation that lists it, raise
+`CorruptFileError`.
 
 The dynamic store keeps one growable `SparseAttribute` per (label,
 attribute), indexed by each element's rank within its label, and one dynamic
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_not
 
-from .errors import InputError
+from .errors import CorruptFileError, InputError
 from .k2 import DynK2Tree, K2Tree
 
 
@@ -38,21 +41,15 @@ class SparseAttribute:
 
     __slots__ = ("label", "att", "limit", "values", "lex_index")
 
-    def __init__(self, label: str, att: str, limit: int, values: list, lex_index=None):
+    def __init__(self, label: str, att: str, limit: int, values: list):
         self.label = label
         self.att = att
         self.limit = limit
         self.values = values
-        if lex_index is None:
-            lex_index = array(
-                "I",
-                sorted(
-                    (i for i, v in enumerate(values) if v is not None),
-                    key=values.__getitem__,
-                ),
-            )
+        present = compress(range(len(values)), map(is_not, values, repeat(None)))
         # positions of the present values by value, equal values by position
-        self.lex_index = lex_index
+        # (the sort is stable)
+        self.lex_index = array("I", sorted(present, key=values.__getitem__))
 
     def get(self, elem_id: int):
         pos = elem_id - self.limit
@@ -100,13 +97,12 @@ class SparseAttribute:
 
 
 class DenseAttributeMatrix:
-    """All dense attributes of one element kind, packed into one k²-tree,
-    with the value postings of its columns.
+    """All dense attributes of one element kind, packed into one k²-tree.
 
-    Column c's postings are ``ids[offsets[c - 1]:offsets[c]]``: the element
-    ids taking that column's value, ascending."""
+    `_columns` maps each value column a select has read to its element ids,
+    ascending, taken from one column descent on that column's first select."""
 
-    __slots__ = ("matrix", "atts", "col_limits", "col_values", "offsets", "ids", "_att_index")
+    __slots__ = ("matrix", "atts", "col_limits", "col_values", "_att_index", "_columns")
 
     def __init__(
         self,
@@ -114,16 +110,13 @@ class DenseAttributeMatrix:
         atts: list[str],
         col_limits: list[int],
         col_values: list[list[str]],
-        offsets: array,
-        ids: array,
     ):
         self.matrix = matrix
         self.atts = atts
         self.col_limits = col_limits
         self.col_values = col_values
-        self.offsets = offsets
-        self.ids = ids
         self._att_index = {a: i for i, a in enumerate(atts)}
+        self._columns: dict[int, array] = {}
 
     @classmethod
     def build(
@@ -155,13 +148,8 @@ class DenseAttributeMatrix:
             col_values.append(values)
             for elem_id, value in rows.items():
                 cells.append((elem_id, pos[value]))
-        counts = [0] * (total + 1)
-        for _, col in cells:
-            counts[col] += 1
-        offsets = array("I", accumulate(counts))
-        ids = array("I", map(itemgetter(0), sorted(cells, key=itemgetter(1, 0))))
         matrix = K2Tree.build(max(n_elements, total), cells, k) if cells else None
-        return cls(matrix, atts, col_limits, col_values, offsets, ids)
+        return cls(matrix, atts, col_limits, col_values)
 
     def _block(self, att: str) -> tuple[int, int]:
         """Inclusive column range of the attribute's block."""
@@ -169,18 +157,22 @@ class DenseAttributeMatrix:
         lower = self.col_limits[i - 1] if i else 0
         return lower + 1, self.col_limits[i]
 
+    def _row_col(self, elem_id: int, c1: int, c2: int):
+        """The column of the element's one in columns c1..c2, or None."""
+        hits = self.matrix.row_leaves(elem_id, c1, c2)
+        if len(hits) > 1:
+            raise CorruptFileError(
+                f"element {elem_id} takes two values of one dense attribute"
+            )
+        return hits[0][0] if hits else None
+
     def get(self, elem_id: int, att: str):
         """Value of the attribute for the element, or None."""
         if self.matrix is None or att not in self._att_index:
             return None
         c1, c2 = self._block(att)
-        if c1 > c2 or elem_id > self.matrix.n_logical:
-            return None
-        hits = self.matrix.row_leaves(elem_id, c1, c2)
-        if not hits:
-            return None
-        col = hits[0][0]
-        return self.col_values[self._att_index[att]][col - c1]
+        col = self._row_col(elem_id, c1, c2)
+        return None if col is None else self.col_values[self._att_index[att]][col - c1]
 
     def select(self, att: str, value: str, lo: int, hi: int) -> list[int]:
         """Ascending element ids in lo..hi taking `value` for the attribute."""
@@ -190,10 +182,16 @@ class DenseAttributeMatrix:
         j = bisect_left(values, value)
         if j >= len(values) or values[j] != value:
             return []
-        col = self._block(att)[0] + j
-        ids = self.ids
-        first = bisect_left(ids, lo, self.offsets[col - 1], self.offsets[col])
-        return ids[first : bisect_right(ids, hi, first, self.offsets[col])].tolist()
+        c1, c2 = self._block(att)
+        ids = self._columns.get(c1 + j)
+        if ids is None:
+            m = self.matrix
+            rows = [row for row, _ in m.col_leaves(c1 + j, 1, m.n_logical)]
+            for row in rows:  # raises on a row with a second value in the block
+                self._row_col(row, c1, c2)
+            ids = self._columns[c1 + j] = array("I", rows)
+        first = bisect_left(ids, lo)
+        return ids[first : bisect_right(ids, hi, first)].tolist()
 
 
 class DynDenseAttribute:

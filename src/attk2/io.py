@@ -9,7 +9,7 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format, version 4: magic "ATTK2TRE", u32 LE version, then a section
+Binary format, version 5: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
 before it, which the loader checks before parsing the section; the table's
@@ -21,40 +21,37 @@ values of one dense column) is one string table: u64 count, count packed u32
 entries holding each string's length in code points plus one (0 marks an
 absent sparse value, so it stays distinct from ""), then u64 byte size and
 all present strings concatenated as one UTF-8 blob. The loader decodes each
-blob once and cuts it at the running sums of the lengths. A u32 array is a
-u64 count and the packed u32 values; the loader reads it into an
-`array('I')` in one copy. Each attrs section opens with one entry per sparse
-attribute of its schema, in schema order (labels ascending, each label's
-sparse attributes in declaration order), each entry only the value string
-table and the value-order index (a u32 array of the present values'
-positions); the schema fixes the label, name and id range of every entry.
-Then come the dense k²-tree and the dense value postings as two u32 arrays:
-the columns + 1 run offsets and the element ids, column-major. The writer is
-deterministic, so saving a loaded store reproduces the file byte for byte.
-Files of versions 1 to 3 are rejected; rebuild them from text.
+blob once and cuts it at the running sums of the lengths. Each attrs section
+opens with one entry per sparse attribute of its schema, in schema order
+(labels ascending, each label's sparse attributes in declaration order),
+each entry only the value string table; the schema fixes the label, name and
+id range of every entry. Then come the dense k²-tree, if the kind has dense
+columns, and each dense attribute's name, last column and column values. The
+file holds nothing that can be derived from the rest: the sparse value-order
+indexes are sorted at load, and a dense column's element ids are read from
+the tree on its first select. The writer is deterministic, so saving a
+loaded store reproduces the file byte for byte. Files of versions 1 to 4 are
+rejected; rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
 on: each k²-tree's side is the padded side of its logical size and
-|T| + |L| = k²·(1 + ones(T)); dense column values ascend bytewise; the
-postings' offsets never decrease and end at the number of ids, which equals
-the dense k²-tree's ones; each run ascends strictly inside 1..n_logical and
-no id repeats inside one attribute's block; each schema section's labels
-ascend strictly and no label repeats an attribute name; each sparse value
-list holds one value per id of its label; each sparse value-order index
-lists the present values' positions by value, equal values by position; id
-maps hold no duplicate.
+|T| + |L| = k²·(1 + ones(T)); a kind has a dense k²-tree exactly when it has
+dense columns, and the tree's logical side is the larger of its element and
+column counts; dense column values ascend bytewise; each schema section's
+labels ascend strictly and no label repeats an attribute name; each sparse
+value list holds one value per id of its label; id maps hold no duplicate.
+A dense element with two values in one attribute is found by the query that
+reads its row or its column (`attrstore.DenseAttributeMatrix`).
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import sys
 import tempfile
 import zlib
-from array import array
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import ge, le, lt, ne, not_, setitem, sub
+from operator import ge, lt, not_, setitem, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,7 +64,7 @@ from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
 
 MAGIC = b"ATTK2TRE"
-VERSION = 4
+VERSION = 5
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -360,13 +357,6 @@ class _Writer:
         if values:
             self.parts.append(struct.pack(f"<{len(values)}Q", *values))
 
-    def u32_array(self, values: array):
-        self.u64(len(values))
-        if sys.byteorder == "big":
-            values = array("I", values)
-            values.byteswap()
-        self.parts.append(values.tobytes())
-
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -431,17 +421,6 @@ class _Reader:
             raise CorruptFileError("truncated array")
         pos = self._take(8 * count)
         return list(struct.unpack_from(f"<{count}Q", self.buf, pos))
-
-    def u32_array(self) -> array:
-        count = self.u64()
-        if count > (self.end - self.pos) // 4:
-            raise CorruptFileError("truncated array")
-        pos = self._take(4 * count)
-        out = array("I")
-        out.frombytes(self.buf[pos : pos + 4 * count])
-        if sys.byteorder == "big":
-            out.byteswap()
-        return out
 
     def done(self):
         if self.pos != self.end:
@@ -517,12 +496,9 @@ def _sparse_order(schema: TypeTable):
 def _write_attrs(w: _Writer, schema: TypeTable, sparse: dict, dense: DenseAttributeMatrix):
     for key in _sparse_order(schema):
         w.texts(sparse[key].values)
-        w.u32_array(sparse[key].lex_index)
     w.u32(1 if dense.matrix is not None else 0)
     if dense.matrix is not None:
         _write_k2(w, dense.matrix)
-    w.u32_array(dense.offsets)
-    w.u32_array(dense.ids)
     w.u64(len(dense.atts))
     for i, att in enumerate(dense.atts):
         w.text(att)
@@ -539,12 +515,8 @@ def _read_attrs(r: _Reader, schema: TypeTable):
             raise CorruptFileError(
                 f"sparse attribute {label}.{att} does not match its label's id range"
             )
-        lex = r.u32_array()
-        _check_value_order(values, lex)
-        sparse[(label, att)] = SparseAttribute(label, att, lo, values, lex)
+        sparse[(label, att)] = SparseAttribute(label, att, lo, values)
     matrix = _read_k2(r) if r.u32() else None
-    offsets = r.u32_array()
-    ids = r.u32_array()
     atts, limits, col_values = [], [], []
     for _ in range(r.u64()):
         atts.append(r.text())
@@ -555,51 +527,13 @@ def _read_attrs(r: _Reader, schema: TypeTable):
     for values in col_values:  # str order is UTF-8 byte order
         if not all(map(lt, values, values[1:])):
             raise CorruptFileError("dense column values are not in ascending order")
-    _check_postings(offsets, ids, [0, *limits], matrix)
-    return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values, offsets, ids)
-
-
-def _check_value_order(values: list, lex: array):
-    """Check that a sparse value-order index lists the positions of the
-    present values by value, equal values by position; all passes run in C."""
-    present = len(values) - values.count(None)
-    if len(lex) != present or (lex and max(lex) >= len(values)):
-        raise CorruptFileError("sparse index does not match value list")
-    order = list(map(values.__getitem__, lex))
-    if None in order:
-        raise CorruptFileError("sparse index lists an absent value")
-    # the steps i where the value does not grow: it must stay equal and the
-    # position grow, so the index holds each present position once
-    ties = list(compress(range(1, present), map(ge, order, islice(order, 1, None))))
-    before = list(map((-1).__add__, ties))
-    if any(map(ne, map(order.__getitem__, before), map(order.__getitem__, ties))) or any(
-        map(ge, map(lex.__getitem__, before), map(lex.__getitem__, ties))
+    columns = limits[-1] if limits else 0
+    # the side `DenseAttributeMatrix.build` gives: rows and columns in range
+    if (matrix is None) != (columns == 0) or (
+        matrix is not None and matrix.n_logical != max(schema.count, columns)
     ):
-        raise CorruptFileError("sparse index is not in value order")
-
-
-def _check_postings(offsets: array, ids: array, bounds: list[int], matrix):
-    """Check the value postings against the column layout and the k²-tree:
-    `bounds` holds 0 and every attribute's last column."""
-    ones = matrix.L.ones if matrix is not None else 0
-    if (
-        len(offsets) != bounds[-1] + 1
-        or offsets[0] != 0
-        or not all(map(le, offsets, offsets[1:]))
-        or offsets[-1] != len(ids)
-        or len(ids) != ones
-    ):
-        raise CorruptFileError("dense postings do not match the dense columns")
-    if ids and (min(ids) < 1 or max(ids) > matrix.n_logical):
-        raise CorruptFileError("dense posting outside the element range")
-    for a, b in pairwise(offsets):
-        run = ids[a:b]
-        if not all(map(lt, run, run[1:])):
-            raise CorruptFileError("dense postings are not in ascending order")
-    for first, last in pairwise(bounds):
-        a, b = offsets[first], offsets[last]
-        if len(set(ids[a:b])) != b - a:
-            raise CorruptFileError("element takes two values of one dense attribute")
+        raise CorruptFileError("dense k2-tree does not match the elements and columns")
+    return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values)
 
 
 def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):

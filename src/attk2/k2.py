@@ -19,8 +19,8 @@ Static k=2 trees keep two unrolled row walks that read the words inline,
 `_row_leaves2` and `_row_leaves2_full`. Attribute lookups, Neighbors and
 Related run on them; routed through the shared descent, those 40k-node /
 100k-edge query sets ran 1.3×, 1.5× and 1.8× slower (CPython 3.11, 2 vCPUs).
-A static column takes the shared descent at every k: dense selects read value
-postings, so no query of the static store walks a column.
+A static column takes the shared descent at every k. The static store walks a
+dense value column once, on the column's first select, and keeps its ids.
 
 Rows and columns are 1-based in the public API.
 """

@@ -3,12 +3,10 @@
 import random
 import struct
 import zlib
-from array import array
 
 import pytest
 
 from attk2 import io, queries
-from attk2.attrstore import SparseAttribute
 from attk2.bits import BitSequence
 from attk2.cli import main
 from attk2.errors import CorruptFileError, InputError
@@ -222,7 +220,7 @@ def test_load_rejects_version_1(tmp_path, store, capsys):
     io.save_db(store, path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeTypes\n", encoding="utf-8")
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(io.MAGIC), version)
         path.write_bytes(bytes(data))
@@ -262,12 +260,11 @@ def test_load_needs_one_entry_per_sparse_attribute(tmp_path, store, capsys):
     io.save_db(store, path)
     data = path.read_bytes()
     # the node attributes open with the entries of Paper.Title, Paper.Topic,
-    # Researcher.Name and Researcher.University: a string table and an index each
+    # Researcher.Name and Researcher.University: a string table each
     offset, length = io.section_table(data)[io.SEC_NODE_ATTRS]
     payload = data[offset : offset + length - 4]
     r = io._Reader(payload)
     r.texts(absent=True)
-    r.u32_array()
     title, rest = payload[: r.pos], payload[r.pos :]
     assert _with_payload(data, io.SEC_NODE_ATTRS, title + rest) == data
     script = tmp_path / "script.tsv"
@@ -297,14 +294,13 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
     offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
     assert struct.unpack_from("<Q5IQ5s", data, offset) == (5, 2, 2, 2, 2, 2, 5, b"12345")
     blob = 8 + 5 * 4 + 8
-    # the node attributes open with Paper.Title's entry: its string table
-    # (u64 count 2, two u32 lengths, u64 byte size 33, blob) and its index
-    # (u64 count 2, two u32 positions); one value of 41 bytes fills as many
+    # the node attributes open with Paper.Title's entry, its string table
+    # (u64 count 2, two u32 lengths, u64 byte size 33, blob); one value of 37
+    # bytes fills as many
     attrs, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
     title = struct.pack("<Q2IQ", 2, 19, 16, 33) + b"Compressing graphsGraph databases"
-    title += struct.pack("<Q2I", 2, 0, 1)
     assert data[attrs : attrs + len(title)] == title
-    one_value = struct.pack("<QIQ", 1, 42, 41) + b"x" * 41 + struct.pack("<QI", 1, 0)
+    one_value = struct.pack("<QIQ", 1, 38, 37) + b"x" * 37
     assert len(one_value) == len(title)
     cases = {
         "string lengths do not match": (io.SEC_ID_MAPS, 8, struct.pack("<I", 3)),
@@ -377,26 +373,78 @@ def test_k2_tree_bitmap_sizes_are_checked(side, cells):
             io._read_k2(io._Reader(w.getvalue()))
 
 
-def test_load_checks_the_dense_postings(tmp_path, store):
-    path = tmp_path / "p.db"
+def test_load_checks_the_dense_tree_side(tmp_path, store, capsys):
+    path = tmp_path / "t.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # Position's postings follow the node k²-tree: run offsets 0, 2, 3 and
-    # ids 4 5 (Chair) and 3 (Lecturer), each array a u64 count and u32 values
-    postings = struct.pack("<Q3IQ3I", 3, 0, 2, 3, 3, 4, 5, 3)
-    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
-    at = data.index(postings, offset) - offset
+    # the four sparse entries of the node attributes, then u32 1 and the
+    # node dense k²-tree: u32 k, u64 n, u64 n_logical (5 nodes, 2 columns)
+    offset, length = io.section_table(data)[io.SEC_NODE_ATTRS]
+    r = io._Reader(data, offset, offset + length - 4)
+    for _ in range(4):
+        r.texts(absent=True)
+    assert r.u32() == 1
+    at = r.pos
+    assert struct.unpack_from("<IQQ", data, at) == (2, 8, 5)
+    io._read_k2(r)
+    script = tmp_path / "script.tsv"
+    script.write_text(
+        "GetNodeAttribute\t4\tPosition\nSelectNodes\tResearcher\tPosition\tChair\n",
+        encoding="utf-8",
+    )
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "Chair\n4\t5\n"
+    side = at + 4 - offset
+    no_tree = data[offset : at - 4] + struct.pack("<I", 0) + data[r.pos : r.end]
     cases = {
-        "not in ascending order": (0, 2, 3, 5, 4, 3),  # a swapped run
-        "do not match the dense columns": (0, 2, 4, 4, 5, 3),  # an offset past the end
-        "outside the element range": (0, 2, 3, 4, 5, 6),
-        "two values": (0, 2, 3, 4, 5, 4),
+        "side 4, logical 3": _patched(data, io.SEC_NODE_ATTRS, side, struct.pack("<QQ", 4, 3)),
+        "side 16, logical 9": _patched(data, io.SEC_NODE_ATTRS, side, struct.pack("<QQ", 16, 9)),
+        "no tree": _with_payload(data, io.SEC_NODE_ATTRS, no_tree),
     }
-    for message, (o0, o1, o2, i0, i1, i2) in cases.items():
-        raw = struct.pack("<Q3IQ3I", 3, o0, o1, o2, 3, i0, i1, i2)
-        path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, raw))
+    message = "dense k2-tree does not match the elements and columns"
+    for case, bad in cases.items():
+        path.write_bytes(bad)
         with pytest.raises(CorruptFileError, match=message):
             io.load_db(path)
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1, case
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Position's columns are Chair (1) and Lecturer (2). Nodes 3 (Lecturer) and 4
+# (Chair) share the first leaf block of the node dense tree's L, rows 3-4 and
+# columns 1-2, one bit per cell in row-major order; node 5 (Chair) is in the
+# second. A moved one: node 4's Chair cleared and node 3's set. An extra one:
+# node 3's Chair set as well.
+@pytest.mark.parametrize(
+    "leaves", [[1, 1, 0, 0, 1, 0, 0, 0], [1, 1, 1, 0, 1, 0, 0, 0]], ids=["moved", "extra"]
+)
+def test_a_dense_row_with_two_values_is_rejected_where_read(tmp_path, store, capsys, leaves):
+    m = store.node_dense.matrix
+    assert m.L.to_bits() == [0, 1, 1, 0, 1, 0, 0, 0]
+    m.L = BitSequence(leaves)
+    path = tmp_path / "two.db"
+    io.save_db(store, path)  # every checksum holds
+    message = "element 3 takes two values of one dense attribute"
+    with pytest.raises(CorruptFileError, match=message):
+        io.load_db(path).get_attribute(NODE, 3, "Position")
+    for value in ("Chair", "Lecturer"):
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path).select(NODE, "Researcher", "Position", value)
+    script = tmp_path / "script.tsv"
+    reads = [
+        "GetNodeAttribute\t3\tPosition",
+        "SelectNodes\tResearcher\tPosition\tChair",
+        "SelectNodes\tResearcher\tPosition\tLecturer",
+    ]
+    for read in reads:  # each read of row 3 or of a column listing it
+        script.write_text(read + "\n", encoding="utf-8")
+        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    script.write_text("GetNodeAttribute\t4\tPosition\n" + "\n".join(reads) + "\n", encoding="utf-8")
+    for dynamic in ([], ["--dynamic"]):
+        assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
@@ -433,31 +481,6 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
             assert out == "" and err.startswith("error: ") and message in err
 
 
-def test_load_checks_the_sparse_value_order(tmp_path, store, capsys):
-    path = tmp_path / "x.db"
-    io.save_db(store, path)
-    data = path.read_bytes()
-    # Researcher.Name holds P. García, J. Boy and S. Gómez (ids 3, 4, 5); its
-    # value-order index follows the string table as a u32 array: 1 0 2
-    blob_end = "S. Gómez".encode()
-    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
-    at = data.index(blob_end + struct.pack("<Q3I", 3, 1, 0, 2), offset)
-    at += len(blob_end) - offset
-    script = tmp_path / "script.tsv"
-    script.write_text("SelectNodes\tResearcher\tName\tJ. Boy\n", encoding="utf-8")
-    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
-    assert capsys.readouterr().out == "4\n"
-    for lex in ((2, 0, 1), (1, 1, 2)):  # entries 0 and 2 swapped; entry 0 twice
-        raw = struct.pack("<Q3I", 3, *lex)
-        path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, raw))
-        with pytest.raises(CorruptFileError, match="not in value order"):
-            io.load_db(path)
-        for dynamic in ([], ["--dynamic"]):
-            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err == "error: sparse index is not in value order\n"
-
-
 def test_load_checks_the_schema_order(tmp_path, store, capsys):
     path = tmp_path / "x.db"
     io.save_db(store, path)
@@ -489,21 +512,6 @@ def test_load_checks_the_schema_order(tmp_path, store, capsys):
             assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
-
-
-def test_sparse_value_order_check():
-    values = ["b", None, "a", "b", "", None]
-    io._check_value_order(values, array("I", [4, 2, 0, 3]))
-    io._check_value_order(values, SparseAttribute("L", "x", 1, values).lex_index)
-    cases = {
-        "does not match": ([4, 2, 0], [4, 2, 0, 3, 1], [4, 2, 0, 6]),
-        "lists an absent value": ([4, 2, 0, 1], [5, 2, 0, 3]),
-        "not in value order": ([2, 4, 0, 3], [4, 2, 3, 0], [4, 2, 0, 0]),
-    }
-    for message, lexes in cases.items():
-        for lex in lexes:
-            with pytest.raises(CorruptFileError, match=message):
-                io._check_value_order(values, array("I", lex))
 
 
 def _all_answers(graph) -> list[str]:
