@@ -1,12 +1,12 @@
 """Compressed in-memory store for labeled, directed, attributed multigraphs.
 
-The static store keeps the adjacency structure, dense attribute tables and
-type registries in k²-trees and succinct bitmaps; the dynamic variant swaps in
-insertable counterparts so the schema, the data and the relations can change
-after construction.
+The static store keeps the adjacency structure and the dense attribute tables
+in k²-trees over succinct bitmaps; the dynamic variant swaps in insertable
+counterparts, and an append-only type table, so the schema, the data and the
+relations can change after construction.
 """
 
-from .bits import BitSequence, DynBitSequence, DynSequence
+from .bits import BitSequence, DynBitSequence
 from .errors import CorruptFileError, InputError, NotFoundError
 from .graph import UNDEFINED, AttK2Graph, build_graph
 from .k2 import DynK2Tree, K2Tree
@@ -22,7 +22,6 @@ __all__ = [
     "DynBitSequence",
     "DynK2Tree",
     "DynMultiEdge",
-    "DynSequence",
     "DynTypeTable",
     "InputError",
     "K2Tree",

@@ -1,17 +1,16 @@
 """Bit sequences with rank/select, static and dynamic.
 
 `BitSequence` is immutable and answers rank in O(1) through a per-word
-cumulative directory. `DynBitSequence` supports positional insert/remove by
-keeping the payload in bounded-size integer chunks; reads bisect prefix lists
-of the chunks' bit and one counts, which a write drops and the next read
-rebuilds. `DynSequence` is a wavelet tree over dynamic bitmaps, giving
-access/rank/select over a small integer alphabet.
+cumulative directory, and select1 by a bisect of it. `DynBitSequence`
+supports positional insert/remove by keeping the payload in bounded-size
+integer chunks; reads bisect prefix lists of the chunks' bit and one counts,
+which a write drops and the next read rebuilds. It answers access and rank
+only: select has no caller on a dynamic bitmap.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
 position of the j-th one. ``access_rank(i)`` returns ``(access(i), rank1(i))``
-and locates i once; the k²-tree descents and the wavelet tree read bits
-through it.
+and locates i once; the k²-tree descents read bits through it.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from itertools import accumulate
 from typing import Iterable
 
 from .errors import CorruptFileError, NotFoundError
-
-_FULL64 = (1 << 64) - 1
 
 
 def _pack_bits(bits) -> tuple[list[int], int]:
@@ -143,7 +140,7 @@ _CHUNK_BITS = 2048  # target chunk size; chunks split when they exceed twice thi
 
 
 class DynBitSequence:
-    """Bit array with positional insert/remove plus rank/select (1-based).
+    """Bit array with positional insert/remove plus access/rank (1-based).
 
     The bits live in integer chunks of at most 2 * _CHUNK_BITS bits, with
     per-chunk bit and one counts in `_lens` and `_ones`. Reads bisect two
@@ -310,8 +307,8 @@ class DynBitSequence:
         """(access(p), rank1(p)) for a position p in 1..n, locating p once."""
         if not 1 <= p <= self.n:
             raise IndexError(f"bit position {p} out of range 1..{self.n}")
-        # `_locate` and the list checks written inline: every k²-tree descent
-        # and wavelet access reads its bits here
+        # `_locate` and the list checks written inline: every dynamic k²-tree
+        # descent reads its bits here
         starts = self._starts
         if starts is None:
             starts = self._bits_before()
@@ -332,174 +329,11 @@ class DynBitSequence:
         ci, q = self._locate(i)
         return self._ones_before()[ci] + (self._chunks[ci] & ((2 << q) - 1)).bit_count()
 
-    def select1(self, j: int) -> int:
-        if j < 1 or j > self.ones:
-            raise NotFoundError(f"select1({j}): sequence has {self.ones} ones")
-        ranks = self._ones_before()
-        ci = bisect_left(ranks, j) - 1
-        return self._bits_before()[ci] + self._nth_bit(self._chunks[ci], j - ranks[ci])
-
-    def select0(self, j: int) -> int:
-        zeros = self.n - self.ones
-        if j < 1 or j > zeros:
-            raise NotFoundError(f"select0({j}): sequence has {zeros} zeros")
-        starts = self._bits_before()
-        ranks = self._ones_before()
-        # zeros before chunk i are starts[i] - ranks[i]
-        ci = bisect_left(range(len(starts)), j, key=lambda i: starts[i] - ranks[i]) - 1
-        mask = (1 << self._lens[ci]) - 1
-        return starts[ci] + self._nth_bit(~self._chunks[ci] & mask, j - starts[ci] + ranks[ci])
-
-    @staticmethod
-    def _nth_bit(chunk: int, j: int) -> int:
-        """1-based offset of the j-th set bit of chunk, scanning 64-bit words."""
-        base = 0
-        while True:
-            word = chunk & _FULL64
-            cnt = word.bit_count()
-            if cnt >= j:
-                for _ in range(j - 1):
-                    word &= word - 1
-                return base + (word & -word).bit_length()
-            j -= cnt
-            chunk >>= 64
-            base += 64
-
     def to_bits(self) -> list[int]:
         out = []
         for chunk, length in zip(self._chunks, self._lens):
             out.extend((chunk >> i) & 1 for i in range(length))
         return out
-
-    def __len__(self) -> int:
-        return self.n
-
-
-class _WaveletNode:
-    __slots__ = ("bits", "left", "right")
-
-    def __init__(self):
-        self.bits = DynBitSequence()
-        self.left = None
-        self.right = None
-
-
-class DynSequence:
-    """Dynamic sequence of small non-negative integers with access, per-symbol
-    rank/select, and positional insert (wavelet tree over dynamic bitmaps).
-
-    The alphabet capacity doubles transparently when a larger symbol arrives;
-    the rebuild cost is amortized over the rare capacity growths.
-    """
-
-    __slots__ = ("n", "_cap", "_root")
-
-    def __init__(self, capacity: int = 2):
-        cap = 2
-        while cap < capacity:
-            cap *= 2
-        self.n = 0
-        self._cap = cap
-        self._root = _WaveletNode()
-
-    def insert(self, p: int, c: int):
-        """Insert symbol c at position p (1 <= p <= n+1)."""
-        if not 1 <= p <= self.n + 1:
-            raise IndexError(f"insert position {p} out of range 1..{self.n + 1}")
-        if c < 0:
-            raise ValueError("symbols must be non-negative")
-        while c >= self._cap:
-            self._grow()
-        node = self._root
-        lo, hi = 0, self._cap
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            bits = node.bits
-            before = bits.rank1(p - 1)
-            if c >= mid:
-                bits.insert(p, 1)
-                p = before + 1
-                if node.right is None:
-                    node.right = _WaveletNode()
-                node = node.right
-                lo = mid
-            else:
-                bits.insert(p, 0)
-                p = p - before  # zeros before p, plus one
-                if node.left is None:
-                    node.left = _WaveletNode()
-                node = node.left
-                hi = mid
-        self.n += 1
-
-    def _grow(self):
-        symbols = [self.access(i) for i in range(1, self.n + 1)]
-        self._cap *= 2
-        self._root = _WaveletNode()
-        self.n = 0
-        for i, c in enumerate(symbols):
-            self.insert(i + 1, c)
-
-    def access(self, p: int) -> int:
-        if not 1 <= p <= self.n:
-            raise IndexError(f"position {p} out of range 1..{self.n}")
-        node = self._root
-        lo, hi = 0, self._cap
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            bit, ones = node.bits.access_rank(p)
-            if bit:
-                p = ones
-                node = node.right
-                lo = mid
-            else:
-                p = p - ones
-                node = node.left
-                hi = mid
-        return lo
-
-    def rank(self, c: int, i: int) -> int:
-        """Occurrences of symbol c in positions 1..i; unknown symbols count 0."""
-        if i < 0 or i > self.n:
-            raise IndexError(f"rank position {i} out of range 0..{self.n}")
-        if c < 0 or c >= self._cap:
-            return 0
-        node = self._root
-        lo, hi = 0, self._cap
-        while hi - lo > 1:
-            if node is None or i == 0:
-                return 0
-            mid = (lo + hi) >> 1
-            ones = node.bits.rank1(i)
-            if c >= mid:
-                i = ones
-                node = node.right
-                lo = mid
-            else:
-                i = i - ones
-                node = node.left
-                hi = mid
-        return i if node is not None else 0
-
-    def select(self, c: int, j: int) -> int:
-        """Position of the j-th occurrence of symbol c."""
-        if j < 1:
-            raise NotFoundError(f"select ordinal {j} must be positive")
-        if c < 0 or c >= self._cap:
-            raise NotFoundError(f"symbol {c} does not occur")
-        return self._select(self._root, 0, self._cap, c, j)
-
-    def _select(self, node, lo: int, hi: int, c: int, j: int) -> int:
-        if node is None:
-            raise NotFoundError(f"symbol {c} does not occur")
-        if hi - lo == 1:
-            return j
-        mid = (lo + hi) >> 1
-        if c >= mid:
-            jj = self._select(node.right, mid, hi, c, j)
-            return node.bits.select1(jj)
-        jj = self._select(node.left, lo, mid, c, j)
-        return node.bits.select0(jj)
 
     def __len__(self) -> int:
         return self.n

@@ -1,13 +1,15 @@
 """Dynamic attributed-graph store: same query surface, mutable everything.
 
 Ids are handed out in insertion order, so labels do not form contiguous
-ranges; type lookups go through the dynamic type sequence and label filters
+ranges; type lookups go through the dynamic type table and label filters
 are rank/select or per-id checks instead of range scans. Removing an edge
-tombstones its id: the id is never reused, the type-sequence entry stays (so
+tombstones its id: the id is never reused, its type-table entry stays (so
 ranks of later edges are stable) and the id is reported not-found afterwards.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .attrstore import DynDenseAttribute, SparseAttribute
 from .errors import InputError, NotFoundError
@@ -32,7 +34,8 @@ class DynAttK2Graph:
         self.node_dense: dict[str, DynDenseAttribute] = {}
         self.edge_dense: dict[str, DynDenseAttribute] = {}
         self.relations = DynMultiEdge(k=k)
-        self.edge_endpoints: list[tuple[int, int]] = []
+        self.edge_sources = array("I")  # edge id - 1 -> origin node
+        self.edge_targets = array("I")  # edge id - 1 -> target node
         self.dead_edges: set[int] = set()
         self.dead_nodes: set[int] = set()
         self._dense_kind: dict[str, bool] = {}  # attribute name -> dense flag
@@ -86,7 +89,8 @@ class DynAttK2Graph:
             raise NotFoundError(f"edge endpoints ({u}, {v}) must be live nodes")
         self._check_attrs(EDGE, label, attrs)
         edge_id = self.edge_schema.register_element(label)
-        self.edge_endpoints.append((u, v))
+        self.edge_sources.append(u)
+        self.edge_targets.append(v)
         self.relations.add_edge(edge_id, u, v)
         for att, value in attrs:
             self._store_value(EDGE, edge_id, label, att, value)
@@ -105,7 +109,7 @@ class DynAttK2Graph:
         """Tombstone an edge: drop it from the relations and its attributes."""
         if edge_id in self.dead_edges or not 1 <= edge_id <= self.edge_schema.count:
             raise NotFoundError(f"edge {edge_id} does not exist")
-        u, v = self.edge_endpoints[edge_id - 1]
+        u, v = self.edge_sources[edge_id - 1], self.edge_targets[edge_id - 1]
         self.relations.remove_edge(edge_id, u, v)
         self.dead_edges.add(edge_id)
         self._clear_values(EDGE, edge_id)

@@ -34,9 +34,12 @@ loaded store reproduces the file byte for byte. Files of versions 1 to 4 are
 rejected; rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
-on: each k²-tree's side is the padded side of its logical size and
-|T| + |L| = k²·(1 + ones(T)); a kind has a dense k²-tree exactly when it has
-dense columns, and the tree's logical side is the larger of its element and
+on: each k²-tree's side is the padded side of its logical size,
+|T| + |L| = k²·(1 + ones(T)), T ends exactly after its last internal level
+(one rank per level) and no one lies in the padding rows or columns past the
+logical side (two rectangle descents); the relations tree's logical side
+is the node count; a kind has a dense k²-tree exactly when it has dense
+columns, and the tree's logical side is the larger of its element and
 column counts; dense column values ascend bytewise; each schema section's
 labels ascend strictly and no label repeats an attribute name; each sparse
 value list holds one value per id of its label; id maps hold no duplicate.
@@ -59,7 +62,7 @@ from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
 from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
-from .k2 import K2Tree, _padded_side
+from .k2 import K2Tree, _padded_side, _rect_leaves
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable
 
@@ -484,6 +487,27 @@ def _read_k2(r: _Reader) -> K2Tree:
     return K2Tree(k, n, n_logical, t, l)
 
 
+def _check_k2(tree: K2Tree):
+    """Check that T ends after its last level and that no one lies outside
+    the logical side. Run once the caller has checked that side."""
+    k, n, t = tree.k, tree.n, tree.T
+    # T holds one level per division of the side by k, down to k: the root's
+    # block, then the children of each one in turn, which end at
+    # k²(1 + rank1(p)) for the ones up to p
+    end, side = 0, n
+    while side > k and end <= t.n:
+        end = k * k * (1 + t.rank1(end))
+        side //= k
+    if end != t.n:
+        raise CorruptFileError("k2-tree levels do not match its side")
+    m = tree.n_logical
+    # the padding rows, then the padding columns (0-based, inclusive)
+    if m < n and (
+        _rect_leaves(tree, m, n - 1, 0, n - 1) or _rect_leaves(tree, 0, n - 1, m, n - 1)
+    ):
+        raise CorruptFileError(f"k2-tree has a one outside its {m}x{m} matrix")
+
+
 def _sparse_order(schema: TypeTable):
     """(label, attribute) of every sparse attribute, in file order: labels
     ascending, each label's attributes in declaration order."""
@@ -533,6 +557,8 @@ def _read_attrs(r: _Reader, schema: TypeTable):
         matrix is not None and matrix.n_logical != max(schema.count, columns)
     ):
         raise CorruptFileError("dense k2-tree does not match the elements and columns")
+    if matrix is not None:
+        _check_k2(matrix)
     return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values)
 
 
@@ -556,11 +582,15 @@ def _mask(size: int, positions, bit: int = 1) -> bytearray:
     return mask
 
 
-def _read_relations(r: _Reader, edges: int) -> MultiEdgeK2Tree:
-    """Read the relations of a store with `edges` edges, checking that the
-    multi runs tile More, each ascending, and that the leaves hold every id
-    in 1..edges exactly once."""
+def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
+    """Read the relations of a store with `nodes` nodes and `edges` edges,
+    checking that the tree's logical side is the node count, that the multi
+    runs tile More, each ascending, and that the leaves hold every id in
+    1..edges exactly once."""
     base = _read_k2(r)
+    if base.n_logical != nodes:
+        raise CorruptFileError(f"relations k2-tree side does not match the {nodes} nodes")
+    _check_k2(base)
     multi = r.bits()
     last = r.u64_array()
     more = r.u64_array()
@@ -687,7 +717,7 @@ def load_db(path) -> AttK2Graph:
     edge_schema = section(SEC_EDGE_SCHEMA, _read_schema)
     node_sparse, node_dense = section(SEC_NODE_ATTRS, _read_attrs, node_schema)
     edge_sparse, edge_dense = section(SEC_EDGE_ATTRS, _read_attrs, edge_schema)
-    relations = section(SEC_RELATIONS, _read_relations, edge_schema.count)
+    relations = section(SEC_RELATIONS, _read_relations, node_schema.count, edge_schema.count)
     node_ids, edge_ids = section(SEC_ID_MAPS, lambda r: (_read_id_map(r), _read_id_map(r)))
 
     if len(node_ids) != node_schema.count or len(edge_ids) != edge_schema.count:

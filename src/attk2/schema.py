@@ -4,9 +4,10 @@ The static table keeps labels sorted (str order, which is UTF-8 byte order)
 and assigns each label a contiguous id range, recording only the highest id
 per label; resolving an id is a binary search over those upper limits.
 
-The dynamic table cannot reorder ids, so it keeps the label of every element
-in a dynamic symbol sequence keyed by a stable per-label code; ranges become
-rank/select queries.
+The dynamic table cannot reorder ids, but it only appends them. It keeps two
+append-only arrays: the code of every element's label, by id, and per label
+its ids in ascending order. Ranges become rank/select queries, a bisect of or
+an index into a label's id array.
 
 Both tables hold one attribute registry: per label, a dict from each
 attribute name, in declaration order, to its 1-based ordinal and dense flag.
@@ -16,10 +17,10 @@ dense flags; `io` builds that bitmap when it writes and decodes it on load.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
 
-from .bits import DynSequence
 from .errors import InputError, NotFoundError
 
 
@@ -103,25 +104,29 @@ class TypeTable:
 
 
 class DynTypeTable:
-    """Growable label registry; element types live in a dynamic sequence."""
+    """Growable label registry. Ids are only ever appended, so each label's
+    ids form an ascending array: rank in a label is a bisect of it and
+    select an index into it."""
 
-    __slots__ = ("_codes", "_names", "_atts", "_seq")
+    __slots__ = ("_code_of", "_names", "_atts", "_codes", "_ids")
 
     def __init__(self):
-        self._codes: dict[str, int] = {}   # label -> stable code
-        self._names: list[str] = []        # code -> label
+        self._code_of: dict[str, int] = {}  # label -> stable code
+        self._names: list[str] = []  # code -> label
         self._atts: dict[str, dict[str, tuple[int, bool]]] = {}
-        self._seq = DynSequence()
+        self._codes = array("I")  # id - 1 -> code of its label
+        self._ids: list[array] = []  # code -> ascending ids of the label
 
     @property
     def count(self) -> int:
-        return self._seq.n
+        return len(self._codes)
 
     def add_type(self, label: str):
-        if label in self._codes:
+        if label in self._code_of:
             raise InputError(f"label {label!r} already exists")
-        self._codes[label] = len(self._names)
+        self._code_of[label] = len(self._names)
         self._names.append(label)
+        self._ids.append(array("I"))
         self._atts[label] = {}
 
     def add_attribute(self, label: str, att: str, dense: bool):
@@ -134,44 +139,48 @@ class DynTypeTable:
 
     def register_element(self, label: str) -> int:
         """Append an element of the label; returns its sequential 1-based id."""
-        code = self._codes.get(label)
+        code = self._code_of.get(label)
         if code is None:
             raise NotFoundError(f"unknown label {label!r}")
-        self._seq.insert(self._seq.n + 1, code)
-        return self._seq.n
+        self._codes.append(code)
+        self._ids[code].append(len(self._codes))
+        return len(self._codes)
 
     def label_list(self) -> list[str]:
         return sorted(self._atts)
 
     def has_label(self, label: str) -> bool:
-        return label in self._codes
+        return label in self._code_of
 
-    def ids_of(self, label: str) -> list[int]:
-        """Ascending ids carrying the label, enumerated via select."""
-        code = self._codes.get(label)
+    def _label_ids(self, label: str) -> array:
+        code = self._code_of.get(label)
         if code is None:
             raise NotFoundError(f"unknown label {label!r}")
-        total = self._seq.rank(code, self._seq.n)
-        return [self._seq.select(code, j) for j in range(1, total + 1)]
+        return self._ids[code]
+
+    def ids_of(self, label: str) -> list[int]:
+        """Ascending ids carrying the label."""
+        return self._label_ids(label).tolist()
+
+    def _code(self, elem_id: int) -> int:
+        if not 1 <= elem_id <= len(self._codes):
+            raise IndexError(f"id {elem_id} out of range 1..{len(self._codes)}")
+        return self._codes[elem_id - 1]
 
     def type_of(self, elem_id: int) -> str:
-        if not 1 <= elem_id <= self._seq.n:
-            raise IndexError(f"id {elem_id} out of range 1..{self._seq.n}")
-        return self._names[self._seq.access(elem_id)]
+        return self._names[self._code(elem_id)]
 
     def rank_in_label(self, elem_id: int) -> tuple[str, int]:
         """Label of the element and its 1-based rank among that label's ids."""
-        if not 1 <= elem_id <= self._seq.n:
-            raise IndexError(f"id {elem_id} out of range 1..{self._seq.n}")
-        code = self._seq.access(elem_id)
-        return self._names[code], self._seq.rank(code, elem_id)
+        code = self._code(elem_id)
+        return self._names[code], bisect_left(self._ids[code], elem_id) + 1
 
     def select_in_label(self, label: str, rank: int) -> int:
         """Id of the rank-th element of the label."""
-        code = self._codes.get(label)
-        if code is None:
-            raise NotFoundError(f"unknown label {label!r}")
-        return self._seq.select(code, rank)
+        ids = self._label_ids(label)
+        if not 1 <= rank <= len(ids):
+            raise NotFoundError(f"label {label!r} has no element of rank {rank}")
+        return ids[rank - 1]
 
     attribute_info = _attribute_info
     attrs_of = _attrs_of

@@ -11,7 +11,7 @@ from itertools import accumulate
 import pytest
 
 from attk2 import io
-from attk2.bits import BitSequence, DynBitSequence, DynSequence
+from attk2.bits import BitSequence, DynBitSequence
 from attk2.dyngraph import DynAttK2Graph
 from attk2.errors import CorruptFileError, NotFoundError
 from attk2.gen import generate, write_generated
@@ -25,6 +25,7 @@ from attk2.queries import (
     format_result,
     load_scripts,
 )
+from attk2.schema import DynTypeTable
 
 from conftest import cell, cells_in, edges_between, running_bundle
 
@@ -308,20 +309,40 @@ def test_criterion_4_bit_structure_suites():
             i = rng.randint(0, len(ref))
             assert d.rank1(i) == sum(ref[:i])
     assert d.to_bits() == ref
-    # dynamic symbol sequence against a naive replay
-    s = DynSequence()
-    seq = []
+    # dynamic type table against a naive replay; 400 labels, so label codes
+    # do not fit a byte
+    t = DynTypeTable()
+    labels = []
+    seq = []  # the label of each id
     for _ in range(10_000):
-        p = rng.randint(1, len(seq) + 1)
-        c = rng.randint(0, 63)
-        s.insert(p, c)
-        seq.insert(p - 1, c)
+        if not labels or (len(labels) < 400 and rng.random() < 0.06):
+            labels.append(f"L{len(labels)}")
+            t.add_type(labels[-1])
+        label = rng.choice(labels)
+        assert t.register_element(label) == len(seq) + 1
+        seq.append(label)
+        # id p of a label that seq holds j times up to p has rank j, and the
+        # label's j-th id is p
         p = rng.randint(1, len(seq))
-        assert s.access(p) == seq[p - 1]
-        c = rng.randint(0, 63)
-        i = rng.randint(0, len(seq))
-        assert s.rank(c, i) == seq[:i].count(c)
-    assert [s.access(i) for i in range(1, s.n + 1)] == seq
+        label = seq[p - 1]
+        j = seq[:p].count(label)
+        assert t.type_of(p) == label and t.rank_in_label(p) == (label, j)
+        assert t.select_in_label(label, j) == p
+    assert len(labels) == 400 and t.count == len(seq)
+    for label in labels:
+        ids = [i + 1 for i, lab in enumerate(seq) if lab == label]
+        assert t.ids_of(label) == ids
+        assert [t.type_of(i) for i in ids] == [label] * len(ids)
+        assert [t.rank_in_label(i) for i in ids] == [(label, j) for j in range(1, len(ids) + 1)]
+        assert [t.select_in_label(label, j) for j in range(1, len(ids) + 1)] == ids
+        for rank in (0, len(ids) + 1):
+            with pytest.raises(NotFoundError):
+                t.select_in_label(label, rank)
+    for elem in (0, len(seq) + 1):
+        with pytest.raises(IndexError):
+            t.type_of(elem)
+        with pytest.raises(IndexError):
+            t.rank_in_label(elem)
     elapsed = time.monotonic() - t0
     report("criterion 4: bit-structure suites", elapsed)
 

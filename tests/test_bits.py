@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from attk2.bits import BitSequence, DynBitSequence, DynSequence
+from attk2.bits import BitSequence, DynBitSequence
 from attk2.errors import CorruptFileError, NotFoundError
 
 
@@ -165,25 +165,13 @@ def test_dyn_replay_against_naive(start, steps):
         splits += len(d._chunks) > chunks
         drops += len(d._chunks) < chunks
         assert d.n == len(ref)
-        total = sum(ref)
-        assert d.ones == total
+        assert d.ones == sum(ref)
         if ref:
             p = rng.randint(1, len(ref))
             assert d.access(p) == ref[p - 1]
             assert d.access_rank(p) == (ref[p - 1], sum(ref[:p]))
             i = rng.randint(0, len(ref))
             assert d.rank1(i) == sum(ref[:i])
-        # the j-th one (zero) sits at p when bit p is one (zero) and 1..p
-        # holds j of them
-        if total:
-            j = rng.randint(1, total)
-            p = d.select1(j)
-            assert ref[p - 1] == 1 and sum(ref[:p]) == j
-        zeros = len(ref) - total
-        if zeros:
-            j = rng.randint(1, zeros)
-            p = d.select0(j)
-            assert ref[p - 1] == 0 and p - sum(ref[:p]) == j
         if step % 250 == 0:
             assert d.to_bits() == ref
     assert d.to_bits() == ref
@@ -231,57 +219,3 @@ def test_access_rank_equals_access_and_rank():
         d.remove_run(rng.randint(1, d.n), 1)
     assert len(d._chunks) < chunks
     _check_access_rank(d)
-
-
-def test_dyn_sequence_examples():
-    s = DynSequence()
-    for i, sym in enumerate((0, 1, 0, 1)):  # "abab"
-        s.insert(i + 1, sym)
-    assert s.rank(0, 3) == 2
-    assert s.select(1, 2) == 4
-    s.insert(2, 2)
-    assert [s.access(i) for i in range(1, 6)] == [0, 2, 1, 0, 1]
-    assert s.access(2) == 2
-    assert s.rank(9, 5) == 0
-    with pytest.raises(NotFoundError):
-        s.select(9, 1)
-    with pytest.raises(NotFoundError):
-        s.select(1, 3)
-    with pytest.raises(IndexError):
-        s.access(6)
-
-
-def test_dyn_sequence_replay_against_naive():
-    """10^4 random inserts over an alphabet of 64 symbols."""
-    rng = random.Random(0x5E)
-    s = DynSequence()
-    ref = bytearray()  # the symbols fit a byte, so counts need no slice copy
-    for step in range(10_000):
-        p = rng.randint(1, len(ref) + 1)
-        c = rng.randint(0, 63)
-        s.insert(p, c)
-        ref.insert(p - 1, c)
-        p = rng.randint(1, len(ref))
-        assert s.access(p) == ref[p - 1]
-        c = rng.randint(0, 63)
-        i = rng.randint(0, len(ref))
-        assert s.rank(c, i) == ref.count(c, 0, i)
-        c = ref[rng.randrange(len(ref))]
-        total = ref.count(c)
-        j = rng.randint(1, total)
-        # the j-th c sits at p when ref holds c there and j c's up to p
-        p = s.select(c, j)
-        assert ref[p - 1] == c and ref.count(c, 0, p) == j
-    assert [s.access(i) for i in range(1, s.n + 1)] == list(ref)
-    totals = sum(s.rank(c, s.n) for c in range(64))
-    assert totals == s.n
-
-
-def test_dyn_sequence_alphabet_growth():
-    s = DynSequence(capacity=2)
-    s.insert(1, 1)
-    s.insert(2, 0)
-    s.insert(3, 700)  # forces capacity doubling past 1024
-    assert [s.access(i) for i in range(1, 4)] == [1, 0, 700]
-    assert s.rank(700, 3) == 1
-    assert s.select(700, 1) == 3

@@ -267,3 +267,7 @@ def test_cli_import_leaves_out_gen_and_the_dynamic_store():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(attk2, name) for name in attk2.__all__)

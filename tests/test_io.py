@@ -13,8 +13,9 @@ from attk2.errors import CorruptFileError, InputError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
 from attk2.k2 import K2Tree
+from attk2.multiedge import MultiEdgeK2Tree
 
-from conftest import running_bundle
+from conftest import RELATION_TRIPLES, running_bundle
 
 
 def test_escape_round_trip():
@@ -371,6 +372,51 @@ def test_k2_tree_bitmap_sizes_are_checked(side, cells):
         io._write_k2(w, K2Tree(tree.k, tree.n, tree.n_logical, BitSequence(t), tree.L))
         with pytest.raises(CorruptFileError, match="malformed k2-tree"):
             io._read_k2(io._Reader(w.getvalue()))
+
+
+def _one_level_short(store):
+    """The relations tree (side 8: two levels in T, then L) with T cut to its
+    first level and L sized so that |T| + |L| = k²(1 + ones(T)) holds."""
+    base = store.relations.base
+    assert base.T.to_bits() == [1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0]
+    base.T = BitSequence([1, 1, 0, 0])
+    base.L = BitSequence([1, 1, 1, 0, 1, 1, 1, 0])  # six leaves, as Multi has
+
+
+def _side_7(store):
+    """The relations rebuilt on side 7 with edge 1 at (3, 7)."""
+    store.relations = MultiEdgeK2Tree.build(7, [(1, 3, 7), *RELATION_TRIPLES[1:]])
+
+
+def _one_past_the_side(store):
+    """`_side_7`, then given back the logical side 5 of the five nodes."""
+    _side_7(store)
+    store.relations.base.n_logical = 5
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_one_level_short, "k2-tree levels do not match its side"),
+        (_one_past_the_side, "k2-tree has a one outside its 5x5 matrix"),
+        (_side_7, "relations k2-tree side does not match the 5 nodes"),
+    ],
+    ids=["levels", "padding", "side"],
+)
+def test_load_checks_the_relations_tree_shape(tmp_path, store, capsys, corrupt, message):
+    path = tmp_path / "p.db"
+    script = tmp_path / "script.tsv"
+    script.write_text("Neighbors\tPaper\t3\nRelated\tAuthor\t3\n", encoding="utf-8")
+    io.save_db(store, path)
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "1\t2\n1\n"
+    corrupt(store)
+    io.save_db(store, path)  # every checksum holds
+    with pytest.raises(CorruptFileError, match=message):
+        io.load_db(path)
+    for dynamic in ([], ["--dynamic"]):
+        assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_load_checks_the_dense_tree_side(tmp_path, store, capsys):
