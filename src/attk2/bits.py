@@ -2,10 +2,12 @@
 
 `BitSequence` is immutable and answers rank in O(1) through a per-word
 cumulative directory, and select1 by a bisect of it. `DynBitSequence`
-supports positional insert/remove by keeping the payload in bounded-size
-integer chunks; reads bisect prefix lists of the chunks' bit and one counts,
+keeps the payload in bounded-size integer chunks and takes the three writes
+the dynamic k²-tree makes: a run of zeros inserted, a run removed, a bit set
+in place. Its reads bisect prefix lists of the chunks' bit and one counts,
 which a write drops and the next read rebuilds. It answers access and rank
-only: select has no caller on a dynamic bitmap.
+only: select has no caller on a dynamic bitmap. `to_bits` of either class
+lists every bit, for `k2._cells`, the whole-tree read.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
@@ -24,19 +26,12 @@ from .errors import CorruptFileError, NotFoundError
 
 
 def _pack_bits(bits) -> tuple[list[int], int]:
-    """Pack an iterable of 0/1 (or a '01' string) into 64-bit words, LSB first."""
+    """Pack an iterable of truth values into 64-bit words, LSB first."""
     words = []
     cur = 0
     shift = 0
     n = 0
     for b in bits:
-        if isinstance(b, str):
-            if b == "1":
-                b = 1
-            elif b == "0":
-                b = 0
-            else:
-                raise ValueError("bit strings may only contain '0' and '1'")
         if b:
             cur |= 1 << shift
         shift += 1
@@ -140,7 +135,8 @@ _CHUNK_BITS = 2048  # target chunk size; chunks split when they exceed twice thi
 
 
 class DynBitSequence:
-    """Bit array with positional insert/remove plus access/rank (1-based).
+    """Bit array with zero-run insert, run removal and in-place set, plus
+    access/rank (1-based).
 
     The bits live in integer chunks of at most 2 * _CHUNK_BITS bits, with
     per-chunk bit and one counts in `_lens` and `_ones`. Reads bisect two
@@ -213,28 +209,6 @@ class DynBitSequence:
         self._lens[ci : ci + 1] = sizes
         self._ones[ci : ci + 1] = [p.bit_count() for p in pieces]
         self._starts = self._ranks = None
-
-    def insert(self, p: int, b: int):
-        """Insert bit b at position p (1 <= p <= n+1); later bits shift up."""
-        if not 1 <= p <= self.n + 1:
-            raise IndexError(f"insert position {p} out of range 1..{self.n + 1}")
-        if p == self.n + 1:
-            ci = len(self._chunks) - 1
-            q = self._lens[ci]
-        else:
-            ci, q = self._locate(p)
-        chunk = self._chunks[ci]
-        lo = chunk & ((1 << q) - 1)
-        hi = chunk >> q
-        self._chunks[ci] = lo | ((hi << 1) | (1 if b else 0)) << q
-        self._lens[ci] += 1
-        self._starts = None
-        self.n += 1
-        if b:
-            self._ones[ci] += 1
-            self._ranks = None
-            self.ones += 1
-        self._split_if_needed(ci)
 
     def insert_zeros(self, p: int, count: int):
         """Insert a run of `count` zero bits starting at position p."""

@@ -64,18 +64,6 @@ class XorShift64Star:
             xs[i], xs[j] = xs[j], xs[i]
 
 
-QUERY_KINDS = (
-    "GetNodeType",
-    "GetEdgeType",
-    "GetNodeAttribute",
-    "GetEdgeAttribute",
-    "SelectNodes",
-    "SelectEdges",
-    "Neighbors",
-    "Related",
-)
-
-
 class GeneratedData(NamedTuple):
     bundle: InputBundle
     scripts: dict[str, list[list[str]]]  # script name -> rows of fields

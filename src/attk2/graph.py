@@ -17,12 +17,13 @@ sorts on the encoded bytes, because it is the independent reference.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .errors import InputError, NotFoundError
 from .multiedge import MultiEdgeK2Tree
-from .schema import TypeTable
+from .schema import TypeTable, _mixed_kind
 
 if TYPE_CHECKING:
     from .io import InputBundle
@@ -185,6 +186,9 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
     Internal ids are assigned by sorting elements on (label, external id),
     both compared bytewise, so every label covers a contiguous range.
     """
+    att = _mixed_kind(chain(bundle.node_schema, bundle.edge_schema))
+    if att is not None:
+        raise InputError(f"attribute {att!r} is declared both dense and sparse")
     node_atts = {label: dict(atts) for label, atts in bundle.node_schema}
     edge_atts = {label: dict(atts) for label, atts in bundle.edge_schema}
 

@@ -40,8 +40,11 @@ on: each k²-tree's side is the padded side of its logical size,
 logical side (two rectangle descents); the relations tree's logical side
 is the node count; a kind has a dense k²-tree exactly when it has dense
 columns, and the tree's logical side is the larger of its element and
-column counts; dense column values ascend bytewise; each schema section's
-labels ascend strictly and no label repeats an attribute name; each sparse
+column counts; dense column values ascend bytewise; dense attribute names
+ascend strictly and each is declared dense by a label of its kind; each
+schema section's labels ascend strictly and no label repeats an attribute
+name, and no attribute name is dense under one label and sparse under
+another, across both schema sections; each sparse
 value list holds one value per id of its label; id maps hold no duplicate.
 A dense element with two values in one attribute is found by the query that
 reads its row or its column (`attrstore.DenseAttributeMatrix`).
@@ -64,7 +67,7 @@ from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
 from .k2 import K2Tree, _padded_side, _rect_leaves
 from .multiedge import MultiEdgeK2Tree
-from .schema import TypeTable
+from .schema import TypeTable, _mixed_kind
 
 MAGIC = b"ATTK2TRE"
 VERSION = 5
@@ -213,7 +216,6 @@ def _read_tsv(path: Path):
 def _load_schema(path: Path):
     node_schema = []
     edge_schema = []
-    kinds: dict[str, bool] = {}  # attribute -> dense, global consistency
     seen = {"NODE": set(), "EDGE": set()}
     for lineno, fields in _read_tsv(path):
         if len(fields) < 2 or fields[0] not in ("NODE", "EDGE"):
@@ -233,14 +235,11 @@ def _load_schema(path: Path):
             dense = field[-1] == "d"
             if any(a == att for a, _ in atts):
                 raise InputError(f"schema.tsv:{lineno}: duplicate attribute {att!r}")
-            if att in kinds and kinds[att] != dense:
-                raise InputError(
-                    f"schema.tsv:{lineno}: attribute {att!r} is declared both "
-                    "dense and sparse"
-                )
-            kinds[att] = dense
             atts.append((att, dense))
         (node_schema if side == "NODE" else edge_schema).append((label, atts))
+    att = _mixed_kind(chain(node_schema, edge_schema))
+    if att is not None:
+        raise InputError(f"schema.tsv: attribute {att!r} is declared both dense and sparse")
     return node_schema, edge_schema
 
 
@@ -546,6 +545,10 @@ def _read_attrs(r: _Reader, schema: TypeTable):
         atts.append(r.text())
         limits.append(r.u64())
         col_values.append(r.texts())
+    # `DenseAttributeMatrix.build` sorts the names, which the schema declares dense
+    declared = {a for label in schema.labels for a, dense in schema.attrs_of(label) if dense}
+    if not all(map(lt, atts, atts[1:])) or not declared.issuperset(atts):
+        raise CorruptFileError("dense attribute names do not ascend or are not declared dense")
     if limits != list(accumulate(map(len, col_values))):
         raise CorruptFileError("dense column limits do not match value lists")
     for values in col_values:  # str order is UTF-8 byte order
@@ -715,6 +718,10 @@ def load_db(path) -> AttK2Graph:
 
     node_schema = section(SEC_NODE_SCHEMA, _read_schema)
     edge_schema = section(SEC_EDGE_SCHEMA, _read_schema)
+    schemas = (node_schema, edge_schema)
+    att = _mixed_kind((lab, s.attrs_of(lab)) for s in schemas for lab in s.labels)
+    if att is not None:
+        raise CorruptFileError(f"attribute {att!r} is both dense and sparse in the schema")
     node_sparse, node_dense = section(SEC_NODE_ATTRS, _read_attrs, node_schema)
     edge_sparse, edge_dense = section(SEC_EDGE_ATTRS, _read_attrs, edge_schema)
     relations = section(SEC_RELATIONS, _read_relations, node_schema.count, edge_schema.count)

@@ -12,8 +12,12 @@ against a two-method bit-vector protocol that `BitSequence` and
 `DynBitSequence` both implement: ``access(p)`` and ``access_rank(p)``, which
 returns ``(access(p), rank1(p))`` after locating p once. `_leaf_pos` is the
 point descent (a cell's L position) and `_rect_leaves` the rectangle descent;
-a row or a column is its one-row or one-column case. Only `DynK2Tree.set` and
-`DynK2Tree.clear` walk the tree themselves, because they change it on the way.
+a row or a column is its one-row or one-column case. `DynMultiEdge.remove_edge`
+finds its leaf with `_leaf_pos`: on a replayed 10k-node / 25k-edge dynamic
+tree that took 12.5 µs against 24.3 µs for a one-cell `row_leaves`. Only
+`DynK2Tree.set` and `DynK2Tree.clear` walk the tree themselves, because they
+change it on the way. A whole-tree read is `_cells`, one level-order pass over
+the bits of T and then L with no rank call: the inverse of `build_with_order`.
 
 Static k=2 trees keep two unrolled row walks that read the words inline,
 `_row_leaves2` and `_row_leaves2_full`. Attribute lookups, Neighbors and
@@ -27,6 +31,7 @@ Rows and columns are 1-based in the public API.
 
 from __future__ import annotations
 
+from itertools import chain, compress, count
 from typing import Iterable
 
 from .bits import BitSequence, DynBitSequence
@@ -105,16 +110,22 @@ def _rect_leaves(tree, rlo: int, rhi: int, clo: int, chi: int) -> list[tuple[int
     return out
 
 
+def _cells(tree) -> list[tuple[int, int]]:
+    """The 1-based (row, col) of every one, in L order: the i-th cell holds
+    the i-th one of L. The inverse of `K2Tree.build_with_order`."""
+    k = tree.k
+    k2 = k * k
+    # (first row, first column, child side) of each block: the root's, then
+    # one per one of T, in the order of the ones; the ones of L come last
+    blocks = [(0, 0, tree.n // k)]
+    for p in compress(count(), chain(tree.T.to_bits(), tree.L.to_bits())):
+        row, col, sub = blocks[p // k2]
+        i = p % k2
+        blocks.append((row + i // k * sub, col + i % k * sub, sub // k))
+    return [(row + 1, col + 1) for row, col, _ in blocks[1 + tree.T.ones :]]
+
+
 # Read methods both tree classes share; `_check_rc` holds each class's bounds.
-
-
-def _range_leaves(self, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int, int]]:
-    """(row, col, 0-based L position) triples inside the rectangle, sorted."""
-    if r1 > r2 or c1 > c2:
-        raise InputError(f"malformed rectangle ({r1}..{r2}, {c1}..{c2})")
-    self._check_rc(r1, c1)
-    self._check_rc(r2, c2)
-    return _rect_leaves(self, r1 - 1, r2 - 1, c1 - 1, c2 - 1)
 
 
 def _row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
@@ -216,7 +227,6 @@ class K2Tree:
                 f"cell ({r}, {c}) outside {self.n_logical}x{self.n_logical} matrix"
             )
 
-    range_leaves = _range_leaves
     col_leaves = _col_leaves
 
     def row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
@@ -346,10 +356,6 @@ class DynK2Tree:
             self.L = DynBitSequence()
 
     @property
-    def ones(self) -> int:
-        return self.L.ones
-
-    @property
     def bit_size(self) -> int:
         return self.T.n + self.L.n
 
@@ -471,6 +477,5 @@ class DynK2Tree:
             else:
                 break
 
-    range_leaves = _range_leaves
     row_leaves = _row_leaves
     col_leaves = _col_leaves

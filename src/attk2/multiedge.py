@@ -9,6 +9,10 @@ with ordinal i ends at Last[i] and starts right after the previous multi
 leaf's run (position 1 when there is none).
 
 The dynamic form replaces Multi/Last/More with one growable id list per leaf.
+
+`all_triples` walks one `k2._cells` decode, whose i-th cell owns entry i of
+Multi/Last or of the lists. Only the dynamic form decodes the ids of a row or
+a column, for the dynamic store's `related` and `remove_node`.
 """
 
 from __future__ import annotations
@@ -18,26 +22,12 @@ from typing import Iterable
 
 from .bits import BitSequence
 from .errors import InputError, NotFoundError
-from .k2 import DynK2Tree, K2Tree, _leaf_pos
-
-
-# Reads both classes share; each class's `_leaf_ids(q)` decodes the edge ids
-# of the leaf at 0-based L position q, ascending.
-
-
-def _neighbors_with_edges(self, u: int, c1: int, c2: int) -> list[tuple[int, list[int]]]:
-    """(target, edge ids) for every target in c1..c2 linked from u."""
-    return [(col, self._leaf_ids(q)) for col, q in self.base.row_leaves(u, c1, c2)]
+from .k2 import DynK2Tree, K2Tree, _cells, _leaf_pos
 
 
 def _neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
     """Targets in c1..c2 linked from u, without decoding edge ids."""
     return [col for col, _ in self.base.row_leaves(u, c1, c2)]
-
-
-def _reverse_with_edges(self, v: int, r1: int, r2: int) -> list[tuple[int, list[int]]]:
-    """(origin, edge ids) for every origin in r1..r2 linking to v."""
-    return [(row, self._leaf_ids(q)) for row, q in self.base.col_leaves(v, r1, r2)]
 
 
 class MultiEdgeK2Tree:
@@ -83,25 +73,7 @@ class MultiEdgeK2Tree:
                 last.append(len(more))
         return cls(base, BitSequence(multi_bits), last, more)
 
-    def _ids_at(self, ordinal: int) -> list[int]:
-        """Edge ids stored at the leaf with the given 1-based ordinal."""
-        if not self.multi.access(ordinal):
-            return [self.last[ordinal - 1]]
-        end = self.last[ordinal - 1]
-        nth = self.multi.rank1(ordinal)
-        if nth == 1:
-            begin = 1
-        else:
-            prev = self.multi.select1(nth - 1)
-            begin = self.last[prev - 1] + 1
-        return self.more[begin - 1 : end]
-
-    def _leaf_ids(self, q: int) -> list[int]:
-        return self._ids_at(self.base.L.rank1(q + 1))
-
-    neighbors_with_edges = _neighbors_with_edges
     neighbor_cols = _neighbor_cols
-    reverse_with_edges = _reverse_with_edges
 
     def related_targets(self, u: int, elo: int, ehi: int) -> list[int]:
         """Targets of u connected through an edge id in [elo, ehi].
@@ -135,14 +107,16 @@ class MultiEdgeK2Tree:
         return out
 
     def all_triples(self) -> list[tuple[int, int, int]]:
-        """Decode the full structure back to (edge_id, origin, target) triples."""
-        n = self.base.n_logical
+        """Every (edge_id, origin, target), in leaf order, each leaf's ids
+        ascending."""
         out = []
-        if n == 0:
-            return out
-        for r, c, q in self.base.range_leaves(1, n, 1, n):
-            for eid in self._leaf_ids(q):
-                out.append((eid, r, c))
+        end = 0  # where the next multi leaf's run starts in More
+        for (r, c), multi, last in zip(_cells(self.base), self.multi.to_bits(), self.last):
+            if multi:
+                out.extend((eid, r, c) for eid in self.more[end:last])
+                end = last
+            else:
+                out.append((last, r, c))
         return out
 
 
@@ -191,16 +165,21 @@ class DynMultiEdge:
             self.base.clear(u, v)
 
     def _leaf_ids(self, q: int) -> list[int]:
+        """Edge ids, ascending, of the leaf at 0-based L position q."""
         return sorted(self.lists[self.base.L.rank1(q + 1) - 1])
 
-    neighbors_with_edges = _neighbors_with_edges
+    def neighbors_with_edges(self, u: int, c1: int, c2: int) -> list[tuple[int, list[int]]]:
+        """(target, edge ids) for every target in c1..c2 linked from u."""
+        return [(col, self._leaf_ids(q)) for col, q in self.base.row_leaves(u, c1, c2)]
+
     neighbor_cols = _neighbor_cols
-    reverse_with_edges = _reverse_with_edges
+
+    def reverse_with_edges(self, v: int, r1: int, r2: int) -> list[tuple[int, list[int]]]:
+        """(origin, edge ids) for every origin in r1..r2 linking to v."""
+        return [(row, self._leaf_ids(q)) for row, q in self.base.col_leaves(v, r1, r2)]
 
     def all_triples(self) -> list[tuple[int, int, int]]:
-        out = []
-        n = self.base.n
-        for r, c, q in self.base.range_leaves(1, n, 1, n):
-            for eid in self._leaf_ids(q):
-                out.append((eid, r, c))
-        return out
+        """Every (edge_id, origin, target), in leaf order, each leaf's ids
+        ascending."""
+        cells = _cells(self.base)
+        return [(eid, r, c) for (r, c), ids in zip(cells, self.lists) for eid in sorted(ids)]

@@ -1,8 +1,10 @@
 """Deliberately naive reference store: plain dicts and linear scans.
 
-This module defines the intended meaning of every query and mutation and is
-used only by the test suite; it shares nothing with the compressed
-implementation below the call signatures. Keep it slow and obvious.
+This module defines the intended meaning of every query and mutation. The
+test suite and the benchmark (`perfbench`) check the stores' answers against
+it; it shares nothing with the compressed implementation below the call
+signatures. Keep it slow and obvious. A value exists only for an attribute
+in its element's schema, so a removal pops those keys alone.
 """
 
 from __future__ import annotations
@@ -125,9 +127,8 @@ class NaiveStore:
             raise NotFoundError(f"edge {edge_id} does not exist")
         self.dead_edges.add(edge_id)
         self.triples = [t for t in self.triples if t[0] != edge_id]
-        self.edge_values = {
-            k: v for k, v in self.edge_values.items() if k[0] != edge_id
-        }
+        for att, _ in self.edge_schema[self.edge_labels[edge_id]]:
+            self.edge_values.pop((edge_id, att), None)
 
     def remove_node(self, node_id):
         if node_id not in self.node_labels or node_id in self.dead_nodes:
@@ -135,9 +136,8 @@ class NaiveStore:
         if any(u == node_id or v == node_id for _, u, v in self.triples):
             raise InputError(f"node {node_id} still has incident edges")
         self.dead_nodes.add(node_id)
-        self.node_values = {
-            k: v for k, v in self.node_values.items() if k[0] != node_id
-        }
+        for att, _ in self.node_schema[self.node_labels[node_id]]:
+            self.node_values.pop((node_id, att), None)
 
     # -- queries ------------------------------------------------------------------
 

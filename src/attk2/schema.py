@@ -40,6 +40,18 @@ def _attrs_of(self, label: str) -> list[tuple[str, bool]]:
     return [(att, dense) for att, (_, dense) in atts.items()]
 
 
+def _mixed_kind(schemas) -> str | None:
+    """The first attribute name declared dense under one label and sparse
+    under another, over (label, [(attribute, dense flag)...]) pairs; None
+    when every name keeps one kind."""
+    kinds: dict[str, bool] = {}
+    for _, atts in schemas:
+        for att, dense in atts:
+            if kinds.setdefault(att, bool(dense)) != bool(dense):
+                return att
+    return None
+
+
 class TypeTable:
     """Static label registry with contiguous id ranges per label."""
 

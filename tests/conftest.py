@@ -9,7 +9,7 @@ levels, project counts).
 import pytest
 
 from attk2.io import InputBundle
-from attk2.k2 import _leaf_pos
+from attk2.k2 import _leaf_pos, _rect_leaves
 
 # external ids are chosen so the static build's internal ids coincide with
 # them (elements are already listed in (label, ext id) order)
@@ -85,7 +85,8 @@ def store(bundle):
 
 
 # Reads that only tests need, written over the reads the package runs: the
-# point descent with L's rank, the rectangle descent and the row read.
+# point descent with L's rank, the rectangle descent and the whole-structure
+# decode.
 
 
 def cell(tree, r: int, c: int) -> int:
@@ -102,9 +103,9 @@ def leaf_ordinal(tree, r: int, c: int) -> int:
 
 def cells_in(tree, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int]]:
     """The set cells inside the rectangle, in (row, col) order."""
-    return [(r, c) for r, c, _ in tree.range_leaves(r1, r2, c1, c2)]
+    return [(r, c) for r, c, _ in _rect_leaves(tree, r1 - 1, r2 - 1, c1 - 1, c2 - 1)]
 
 
 def edges_between(rel, u: int, v: int) -> list[int]:
     """Ascending edge ids from u to v of a relations layer."""
-    return next((ids for _, ids in rel.neighbors_with_edges(u, v, v)), [])
+    return [e for e, r, c in rel.all_triples() if (r, c) == (u, v)]

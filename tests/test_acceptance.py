@@ -291,7 +291,8 @@ def test_criterion_4_bit_structure_suites():
         if roll < 0.55 or not ref:
             p = rng.randint(1, len(ref) + 1)
             b = rng.randint(0, 1)
-            d.insert(p, b)
+            d.insert_zeros(p, 1)
+            d.set_bit(p, b)
             ref.insert(p - 1, b)
         elif roll < 0.8:
             p = rng.randint(1, len(ref))

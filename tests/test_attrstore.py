@@ -11,7 +11,7 @@ from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
 from attk2.oracle import NaiveStore
 
-from conftest import running_bundle
+from conftest import cells_in, running_bundle
 
 
 @pytest.fixture
@@ -151,8 +151,8 @@ def test_schema_guard_regions_stay_empty():
     m = DenseAttributeMatrix.build(6, triples)
     a1, a2 = m._block("alpha")
     b1, b2 = m._block("beta")
-    assert m.matrix.range_leaves(4, 6, a1, a2) == []
-    assert m.matrix.range_leaves(1, 3, b1, b2) == []
+    assert cells_in(m.matrix, 4, 6, a1, a2) == []
+    assert cells_in(m.matrix, 1, 3, b1, b2) == []
 
 
 def test_dyn_sparse_last_write_wins():

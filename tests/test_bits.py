@@ -11,20 +11,20 @@ from attk2.errors import CorruptFileError, NotFoundError
 
 
 def test_rank_examples():
-    bs = BitSequence("101100")
+    bs = BitSequence([1, 0, 1, 1, 0, 0])
     assert bs.rank1(4) == 3
     assert bs.rank1(0) == 0
-    assert BitSequence("111111").rank1(6) == 6
+    assert BitSequence([1, 1, 1, 1, 1, 1]).rank1(6) == 6
 
 
 def test_select_examples():
-    assert BitSequence("101100").select1(2) == 3
-    assert BitSequence("100000").select1(1) == 1
-    assert BitSequence("000001").select1(1) == 6
+    assert BitSequence([1, 0, 1, 1, 0, 0]).select1(2) == 3
+    assert BitSequence([1, 0, 0, 0, 0, 0]).select1(1) == 1
+    assert BitSequence([0, 0, 0, 0, 0, 1]).select1(1) == 6
 
 
 def test_rank_out_of_bounds():
-    bs = BitSequence("1010")
+    bs = BitSequence([1, 0, 1, 0])
     with pytest.raises(IndexError):
         bs.rank1(5)
     with pytest.raises(IndexError):
@@ -32,17 +32,17 @@ def test_rank_out_of_bounds():
 
 
 def test_select_not_found():
-    bs = BitSequence("101100")
+    bs = BitSequence([1, 0, 1, 1, 0, 0])
     with pytest.raises(NotFoundError):
         bs.select1(0)
     with pytest.raises(NotFoundError):
         bs.select1(4)
     with pytest.raises(NotFoundError):
-        BitSequence("").select1(1)
+        BitSequence([]).select1(1)
 
 
 def test_access():
-    bs = BitSequence("1001")
+    bs = BitSequence([1, 0, 0, 1])
     assert [bs.access(i) for i in range(1, 5)] == [1, 0, 0, 1]
     with pytest.raises(IndexError):
         bs.access(0)
@@ -100,7 +100,7 @@ def test_wire_form_round_trip():
 
 
 def test_wire_form_rejects_bad_padding():
-    data = BitSequence("101").to_bytes()
+    data = BitSequence([1, 0, 1]).to_bytes()
     # flip a padding bit beyond position 3
     corrupted = data[:8] + bytes([data[8] | 0x08]) + data[9:]
     with pytest.raises(CorruptFileError):
@@ -110,19 +110,21 @@ def test_wire_form_rejects_bad_padding():
 
 
 def test_dyn_insert_examples():
-    d = DynBitSequence("10")
-    d.insert(2, 1)
+    # a one-bit insert is a zero inserted, then set
+    d = DynBitSequence([1, 0])
+    d.insert_zeros(2, 1)
+    d.set_bit(2, 1)
     assert d.to_bits() == [1, 1, 0]
     e = DynBitSequence()
-    e.insert(1, 0)
+    e.insert_zeros(1, 1)
     assert e.to_bits() == [0]
-    f = DynBitSequence("111")
-    f.insert(4, 0)
+    f = DynBitSequence([1, 1, 1])
+    f.insert_zeros(4, 1)
     assert f.to_bits() == [1, 1, 1, 0]
     with pytest.raises(IndexError):
-        f.insert(6, 1)
+        f.insert_zeros(6, 1)
     with pytest.raises(IndexError):
-        f.insert(0, 1)
+        f.insert_zeros(0, 1)
 
 
 @pytest.mark.parametrize("start, steps", [(0, 10_000), (7_000, 3_000)])
@@ -141,7 +143,8 @@ def test_dyn_replay_against_naive(start, steps):
         if action < 0.45 or not ref:
             p = rng.randint(1, len(ref) + 1)
             b = rng.randint(0, 1)
-            d.insert(p, b)
+            d.insert_zeros(p, 1)
+            d.set_bit(p, b)
             ref.insert(p - 1, b)
         elif action < 0.55 and rng.random() * 10_000 > len(ref):
             p = rng.randint(1, len(ref) + 1)
@@ -179,7 +182,7 @@ def test_dyn_replay_against_naive(start, steps):
 
 
 def test_dyn_runs():
-    d = DynBitSequence("1111")
+    d = DynBitSequence([1, 1, 1, 1])
     d.insert_zeros(3, 4)
     assert d.to_bits() == [1, 1, 0, 0, 0, 0, 1, 1]
     d.remove_run(2, 6)
@@ -209,7 +212,9 @@ def test_access_rank_equals_access_and_rank():
     chunks = len(d._chunks)
     _check_access_rank(d)
     for _ in range(2100):
-        d.insert(rng.randint(2049, 4096), rng.randint(0, 1))
+        p = rng.randint(2049, 4096)
+        d.insert_zeros(p, 1)
+        d.set_bit(p, rng.randint(0, 1))
     d.insert_zeros(3000, 500)
     assert len(d._chunks) > chunks
     _check_access_rank(d)

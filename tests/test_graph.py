@@ -90,6 +90,20 @@ def test_build_rejects_schema_violation():
     assert "Position" in str(err.value)
 
 
+def test_build_rejects_an_attribute_of_two_kinds():
+    from attk2.io import InputBundle
+
+    # x dense under node label A and sparse under node label B, then sparse
+    # under an edge label
+    nodes = [("1", "A", [("x", "p")]), ("2", "B", [("x", "q")])]
+    for node_b, edges in (([("x", False)], []), ([], [("x", False)])):
+        bundle = InputBundle(
+            [("A", [("x", True)]), ("B", node_b)], [("R", edges)], nodes[: 1 + bool(node_b)], []
+        )
+        with pytest.raises(InputError, match="'x' is declared both dense and sparse"):
+            build_graph(bundle)
+
+
 def test_build_minimal_empty_graph():
     from attk2.io import InputBundle
 

@@ -11,9 +11,11 @@ from attk2.bits import BitSequence
 from attk2.cli import main
 from attk2.errors import CorruptFileError, InputError
 from attk2.gen import generate
-from attk2.graph import EDGE, NODE, build_graph
+from attk2.attrstore import DenseAttributeMatrix, SparseAttribute
+from attk2.graph import EDGE, NODE, AttK2Graph, IdMap, build_graph
 from attk2.k2 import K2Tree
 from attk2.multiedge import MultiEdgeK2Tree
+from attk2.schema import TypeTable
 
 from conftest import RELATION_TRIPLES, running_bundle
 
@@ -525,6 +527,62 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
             assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
+
+
+def _rejected_everywhere(capsys, path, script, message):
+    """load_db and `query`, static and --dynamic, reject the store."""
+    with pytest.raises(CorruptFileError, match=message):
+        io.load_db(path)
+    for dynamic in ([], ["--dynamic"]):
+        assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_load_checks_the_dense_attribute_names(tmp_path, store, capsys):
+    script = tmp_path / "script.tsv"
+    script.write_text(
+        "GetNodeAttribute\t3\tPosition\nSelectNodes\tResearcher\tPosition\tChair\n",
+        encoding="utf-8",
+    )
+    m = store.node_dense
+    path = tmp_path / "n.db"
+    cases = {  # each written by save_db, so every checksum holds
+        "renamed": DenseAttributeMatrix(m.matrix, ["Positiom"], m.col_limits, m.col_values),
+        "repeated": DenseAttributeMatrix(
+            m.matrix, ["Position", "Position"], m.col_limits * 2, [*m.col_values, []]
+        ),
+    }
+    for case, dense in cases.items():
+        store.node_dense = dense
+        io.save_db(store, path)
+        message = "dense attribute names do not ascend or are not declared dense"
+        _rejected_everywhere(capsys, path, script, message)
+    store.node_dense = m
+    io.save_db(store, path)
+    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
+    assert capsys.readouterr().out == "Lecturer\n4\t5\n"
+
+
+def test_load_rejects_an_attribute_of_two_kinds(tmp_path, capsys):
+    # build_graph refuses this schema, so the store is put together here:
+    # x is dense under node label A and sparse under node label B
+    graph = AttK2Graph(
+        TypeTable(["A", "B"], [1, 2], [[("x", True)], [("x", False)]]),
+        TypeTable([], [], []),
+        {("B", "x"): SparseAttribute("B", "x", 2, ["q"])},
+        {},
+        DenseAttributeMatrix.build(2, [(1, "x", "p")]),
+        DenseAttributeMatrix.build(0, []),
+        MultiEdgeK2Tree.build(2, []),
+        IdMap(["1", "2"]),
+        IdMap([]),
+    )
+    path = tmp_path / "x.db"
+    io.save_db(graph, path)
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeAttribute\t1\tx\nGetNodeAttribute\t2\tx\n", encoding="utf-8")
+    _rejected_everywhere(capsys, path, script, "attribute 'x' is both dense and sparse")
 
 
 def test_load_checks_the_schema_order(tmp_path, store, capsys):

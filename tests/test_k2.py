@@ -5,7 +5,7 @@ import random
 import pytest
 
 from attk2.errors import InputError
-from attk2.k2 import DynK2Tree, K2Tree
+from attk2.k2 import DynK2Tree, K2Tree, _cells, _rect_leaves
 
 from conftest import cell, cells_in, leaf_ordinal
 
@@ -149,14 +149,6 @@ def test_leaf_ordinal_single_cell():
     assert leaf_ordinal(t, 3, 6) == 1
 
 
-def test_range_rejects_malformed_rectangle():
-    t = K2Tree.build(8, [(1, 1)], 2)
-    with pytest.raises(InputError):
-        t.range_leaves(3, 2, 1, 1)
-    with pytest.raises(IndexError):
-        t.range_leaves(1, 9, 1, 1)
-
-
 def test_space_on_clustered_matrix():
     """1% density clustered into 8 blocks compresses below the raw bitmap."""
     rng = random.Random(1024)
@@ -179,6 +171,7 @@ def test_dyn_set_examples():
     assert sum(cell(d, r, c) for r in range(1, 5) for c in range(1, 5)) == 1
     # set then clear leaves a logically (and physically) empty tree
     d.clear(3, 2)
+    assert _cells(d) == []
     fresh = DynK2Tree(4, k=2)
     assert d.T.to_bits() == fresh.T.to_bits()
     assert d.L.to_bits() == fresh.L.to_bits()
@@ -231,10 +224,11 @@ def test_dyn_matches_static(k):
         else:
             d.clear(r, c)
             cells.discard((r, c))
-    static = K2Tree.build(n, cells, k)
+    static, order = K2Tree.build_with_order(n, cells, k)
     assert d.T.to_bits() == static.T.to_bits()
     assert d.L.to_bits() == static.L.to_bits()
-    assert d.range_leaves(1, n, 1, n) == static.range_leaves(1, n, 1, n)
+    assert _cells(d) == order
+    assert _rect_leaves(d, 0, n - 1, 0, n - 1) == _rect_leaves(static, 0, n - 1, 0, n - 1)
     for r in range(1, n + 1):
         assert d.row_leaves(r, 1, d.n) == static.row_leaves(r, 1, n)
     for _ in range(200):
@@ -245,8 +239,8 @@ def test_dyn_matches_static(k):
         assert d.col_leaves(c, lo, hi) == static.col_leaves(c, lo, hi)
         r1 = rng.randint(1, n); r2 = rng.randint(r1, n)
         c1 = rng.randint(1, n); c2 = rng.randint(c1, n)
-        want = d.range_leaves(r1, r2, c1, c2)
-        assert want == static.range_leaves(r1, r2, c1, c2)
+        want = _rect_leaves(d, r1 - 1, r2 - 1, c1 - 1, c2 - 1)
+        assert want == _rect_leaves(static, r1 - 1, r2 - 1, c1 - 1, c2 - 1)
         assert [(rr, cc) for rr, cc, _ in want] == sorted(
             (rr, cc) for (rr, cc) in cells if r1 <= rr <= r2 and c1 <= cc <= c2
         )
@@ -261,12 +255,22 @@ def test_build_hands_over_the_leaf_order(k):
     assert sorted(order) == sorted(set(cells))
     assert [leaf_ordinal(t, r, c) for r, c in order] == list(range(1, len(order) + 1))
     assert order == sorted(order, key=lambda rc: _leaf_order_key(rc[0], rc[1], t.n, k))
+    assert _cells(t) == order
+    # empty trees of several levels and of one (side k, T empty), a one-level
+    # tree with ones, and a full two-level one
+    for side, some in ((n, []), (1, []), (k, [(1, 2), (k, 1), (k, k)])):
+        t, order = K2Tree.build_with_order(side, some, k)
+        assert _cells(t) == order
+    full = [(r, c) for r in range(1, k * k + 1) for c in range(1, k * k + 1)]
+    t, order = K2Tree.build_with_order(k * k, full, k)
+    assert _cells(t) == order and len(order) == k**4
 
 
 def test_dyn_grow_preserves_cells():
     d = DynK2Tree(2, k=2)
     d.set(1, 2)
     d.set(2, 2)
+    assert _cells(d) == [(1, 2), (2, 2)]  # one level: T is empty
     d.grow()
     assert d.n == 4
     assert cell(d, 1, 2) == 1 and cell(d, 2, 2) == 1

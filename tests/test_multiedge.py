@@ -27,26 +27,35 @@ def test_edges_between_running_example(rel):
     assert edges_between(rel, 3, 1) == [1]
     assert edges_between(rel, 1, 3) == []
     with pytest.raises(IndexError):
-        edges_between(rel, 0, 1)
+        rel.neighbor_cols(0, 1, 1)
     with pytest.raises(IndexError):
-        edges_between(rel, 1, 6)
+        rel.neighbor_cols(1, 6, 6)
+
+
+def _dyn(triples, k=2):
+    d = DynMultiEdge(k=k)
+    for e, u, v in triples:
+        d.add_edge(e, u, v)
+    return d
 
 
 def test_neighbors_with_edges_running_example(rel):
-    assert rel.neighbors_with_edges(4, 3, 5) == [(5, [4, 5])]
-    assert rel.neighbors_with_edges(3, 1, 5) == [(1, [1]), (2, [6])]
-    assert rel.neighbor_cols(3, 1, 5) == [1, 2]
+    d = _dyn(RELATION_TRIPLES)
+    assert d.neighbors_with_edges(4, 3, 5) == [(5, [4, 5])]
+    assert d.neighbors_with_edges(3, 1, 5) == [(1, [1]), (2, [6])]
+    assert rel.neighbor_cols(3, 1, 5) == d.neighbor_cols(3, 1, 5) == [1, 2]
 
 
-def test_reverse_with_edges_running_example(rel):
-    assert rel.reverse_with_edges(1, 1, 5) == [(3, [1]), (5, [2])]
-    assert rel.reverse_with_edges(4, 1, 5) == []
+def test_reverse_with_edges_running_example():
+    d = _dyn(RELATION_TRIPLES)
+    assert d.reverse_with_edges(1, 1, 5) == [(3, [1]), (5, [2])]
+    assert d.reverse_with_edges(4, 1, 5) == []
 
 
 def test_empty_structure():
     m = MultiEdgeK2Tree.build(4, [])
     assert edges_between(m, 1, 2) == []
-    assert m.neighbors_with_edges(3, 1, 4) == []
+    assert m.neighbor_cols(3, 1, 4) == []
     assert m.all_triples() == []
 
 
@@ -85,11 +94,16 @@ def test_round_trip_on_random_multigraphs():
 
 
 def test_leaf_ordinal_consistency(rel):
-    # the index into Multi/Last is exactly the base tree's leaf ordinal
+    # the index into Multi/Last is exactly the base tree's leaf ordinal; a
+    # multi leaf's run starts after the previous multi leaf's run
+    multi = rel.multi.to_bits()
     for (eid, u, v) in RELATION_TRIPLES:
         i = leaf_ordinal(rel.base, u, v)
-        ids = rel._ids_at(i)
-        assert eid in ids
+        if multi[i - 1]:
+            begin = max((rel.last[j] for j in range(i - 1) if multi[j]), default=0)
+            assert eid in rel.more[begin : rel.last[i - 1]]
+        else:
+            assert rel.last[i - 1] == eid
 
 
 def test_reverse_probes_against_triples():
@@ -98,7 +112,7 @@ def test_reverse_probes_against_triples():
     triples = [
         (e + 1, rng.randint(1, n), rng.randint(1, n)) for e in range(400)
     ]
-    rel = MultiEdgeK2Tree.build(n, triples)
+    rel = _dyn(triples)
     for _ in range(100):
         v = rng.randint(1, n)
         r1 = rng.randint(1, n)
@@ -172,17 +186,22 @@ def test_static_dynamic_agreement():
     dyn = DynMultiEdge()
     for e, u, v in order:
         dyn.add_edge(e, u, v)
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            assert edges_between(static, u, v) == edges_between(dyn, u, v)
-    for u in range(1, n + 1):
-        assert static.neighbors_with_edges(u, 1, n) == dyn.neighbors_with_edges(u, 1, n)
-        assert static.neighbor_cols(u, 1, n) == dyn.neighbor_cols(u, 1, n)
-        assert static.reverse_with_edges(u, 1, n) == dyn.reverse_with_edges(u, 1, n)
+    # the same triples in the same order: so every pair's edge ids agree
     assert static.all_triples() == dyn.all_triples()
-    # a node or window past each matrix raises the same error in both classes
-    for rel, side in ((static, n), (dyn, dyn.base.n)):
-        for read in (rel.neighbors_with_edges, rel.neighbor_cols, rel.reverse_with_edges):
+    out, into = {}, {}
+    for e, u, v in sorted(triples):
+        out.setdefault(u, {}).setdefault(v, []).append(e)
+        into.setdefault(v, {}).setdefault(u, []).append(e)
+    for u in range(1, n + 1):
+        assert dyn.neighbors_with_edges(u, 1, n) == sorted(out.get(u, {}).items())
+        assert static.neighbor_cols(u, 1, n) == dyn.neighbor_cols(u, 1, n)
+        assert dyn.reverse_with_edges(u, 1, n) == sorted(into.get(u, {}).items())
+    # a node or window past each matrix raises the same error in every read
+    for side, reads in (
+        (n, [static.neighbor_cols]),
+        (dyn.base.n, [dyn.neighbors_with_edges, dyn.neighbor_cols, dyn.reverse_with_edges]),
+    ):
+        for read in reads:
             with pytest.raises(IndexError):
                 read(1, 1, side + 1)
             with pytest.raises(IndexError):
@@ -192,3 +211,36 @@ def test_static_dynamic_agreement():
         dyn.remove_edge(e, u, v)
     kept = [t for t in triples if t not in removed]
     assert MultiEdgeK2Tree.build(n, kept).all_triples() == dyn.all_triples()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_all_triples_against_brute_force(k):
+    """Both forms list every triple in leaf order, each leaf's ids ascending,
+    also after removals; the leaf order is the cells' child-digit paths."""
+    rng = random.Random(0xE4 + k)
+    n = 30
+    triples = []
+    for e in range(1, 301):  # about a third run parallel to the last edge
+        pair = triples[-1][1:] if triples and rng.random() < 0.3 else None
+        triples.append((e, *(pair or (rng.randint(1, n), rng.randint(1, n)))))
+    dyn = _dyn(reversed(triples), k)  # ids arrive out of order
+    for e, u, v in triples[::4]:
+        dyn.remove_edge(e, u, v)
+    kept = [t for i, t in enumerate(triples) if i % 4]
+    side = k
+    while side < n:
+        side *= k
+
+    def path(cell):
+        r, c, s, digits = cell[0] - 1, cell[1] - 1, side, []
+        while s > 1:
+            s //= k
+            digits.append(r // s % k * k + c // s % k)
+        return digits
+
+    ids = {}
+    for e, u, v in kept:
+        ids.setdefault((u, v), []).append(e)
+    want = [(e, u, v) for u, v in sorted(ids, key=path) for e in sorted(ids[u, v])]
+    assert MultiEdgeK2Tree.build(n, kept, k).all_triples() == want
+    assert dyn.all_triples() == want
