@@ -9,7 +9,7 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format, version 5: magic "ATTK2TRE", u32 LE version, then a section
+Binary format, version 6: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
 before it, which the loader checks before parsing the section; the table's
@@ -17,21 +17,24 @@ length includes these four bytes. All integers are little-endian; bitmaps use
 the shared wire form (u64 bit count + packed 64-bit words, LSB first within
 each word). Labels and attribute names are single strings (u64 byte length +
 UTF-8). Every string list (an id map, the values of one sparse attribute, the
-values of one dense column) is one string table: u64 count, count packed u32
-entries holding each string's length in code points plus one (0 marks an
-absent sparse value, so it stays distinct from ""), then u64 byte size and
-all present strings concatenated as one UTF-8 blob. The loader decodes each
-blob once and cuts it at the running sums of the lengths. Each attrs section
-opens with one entry per sparse attribute of its schema, in schema order
-(labels ascending, each label's sparse attributes in declaration order),
-each entry only the value string table; the schema fixes the label, name and
-id range of every entry. Then come the dense k²-tree, if the kind has dense
-columns, and each dense attribute's name, last column and column values. The
-file holds nothing that can be derived from the rest: the sparse value-order
-indexes are sorted at load, and a dense column's element ids are read from
-the tree on its first select. The writer is deterministic, so saving a
-loaded store reproduces the file byte for byte. Files of versions 1 to 4 are
-rejected; rebuild them from text.
+values of one dense column) is one string table: u64 count, u32 separator
+code point, u32 absent-marker code point, then u64 byte size and one UTF-8
+blob in which every entry is followed by the separator; an absent sparse
+value is the marker alone, so it stays distinct from "". The writer picks
+the two smallest code points outside the surrogates that occur in no entry
+(in practice \\x00 and \\x01), and the loader cuts the decoded blob with one
+`str.split`. Each attrs section opens with one entry per sparse attribute
+of its schema, in schema order (labels ascending, each label's sparse
+attributes in declaration order), each entry only the value string table;
+the schema fixes the label, name and id range of every entry. Then come the
+dense k²-tree, if the kind has dense columns, and each dense attribute's
+name, last column and column values. The relations section holds the
+k²-tree, the Multi bitmap, then Last and More, each a u64 count and packed
+u32 values. The file holds nothing that can be derived from the rest: the
+sparse value-order indexes are sorted at load, and a dense column's element
+ids are read from the tree on its first select. The writer is deterministic,
+so saving a loaded store reproduces the file byte for byte. Files of
+versions 1 to 5 are rejected; rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
 on: each k²-tree's side is the padded side of its logical size,
@@ -44,8 +47,10 @@ column counts; dense column values ascend bytewise; dense attribute names
 ascend strictly and each is declared dense by a label of its kind; each
 schema section's labels ascend strictly and no label repeats an attribute
 name, and no attribute name is dense under one label and sparse under
-another, across both schema sections; each sparse
-value list holds one value per id of its label; id maps hold no duplicate.
+another, across both schema sections; each string table's separator and
+marker are two distinct code points UTF-8 can encode and its blob holds
+exactly its count of terminated entries; each sparse value list holds one
+value per id of its label; id maps hold no duplicate.
 A dense element with two values in one attribute is found by the query that
 reads its row or its column (`attrstore.DenseAttributeMatrix`).
 """
@@ -54,10 +59,12 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import tempfile
 import zlib
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import ge, lt, not_, setitem, sub
+from array import array
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, ge, lt, setitem
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,7 +77,7 @@ from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable, _mixed_kind
 
 MAGIC = b"ATTK2TRE"
-VERSION = 5
+VERSION = 6
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -329,6 +336,11 @@ def write_id_maps(path, graph: AttK2Graph):
 # -- binary encoding helpers -------------------------------------------------------
 
 
+def _is_scalar(c: int) -> bool:
+    """Whether code point c can be encoded in UTF-8 (not a surrogate)."""
+    return c < 0xD800 or 0xE000 <= c < 0x110000
+
+
 class _Writer:
     def __init__(self):
         self.parts = []
@@ -346,18 +358,28 @@ class _Writer:
 
     def texts(self, values):
         """One string table; None entries are written as absent."""
-        lengths = [0 if v is None else len(v) + 1 for v in values]
+        present = "".join(filter(None, values))
+        free = (c for c in range(0x110000) if _is_scalar(c) and chr(c) not in present)
+        sep, marker = islice(free, 2)
         self.u64(len(values))
-        self.parts.append(struct.pack(f"<{len(values)}I", *lengths))
-        self.text("".join(filter(None, values)))
+        self.u32(sep)
+        self.u32(marker)
+        sep, marker = chr(sep), chr(marker)
+        entries = [marker if v is None else v for v in values]
+        self.text(sep.join(entries) + sep if entries else "")
 
     def bits(self, bs: BitSequence):
         self.parts.append(bs.to_bytes())
 
-    def u64_array(self, values):
+    def u32_array(self, values):
+        try:
+            values = array("I", values)  # a copy: byteswap leaves the store's alone
+        except OverflowError:
+            raise InputError("a Last/More value is outside the 32-bit range") from None
+        if sys.byteorder == "big":
+            values.byteswap()
         self.u64(len(values))
-        if values:
-            self.parts.append(struct.pack(f"<{len(values)}Q", *values))
+        self.parts.append(values.tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -396,33 +418,35 @@ class _Reader:
         """One string table; absent entries become None where `absent`
         allows them and are corrupt elsewhere."""
         count = self.u64()
-        if count > (self.end - self.pos) // 4:
-            raise CorruptFileError("truncated string table")
-        lengths = struct.unpack_from(f"<{count}I", self.buf, self._take(4 * count))
-        gaps = lengths.count(0)
-        if gaps and not absent:
-            raise CorruptFileError("absent entry in a list that must be complete")
-        blob = self.text()
-        # each present entry holds its code-point length + 1, each absent one 0
-        if sum(lengths) - (count - gaps) != len(blob):
-            raise CorruptFileError("string lengths do not match the string table")
-        stops = accumulate(map(sub, lengths, map(bool, lengths)), initial=0)
-        values = [blob[a:b] for a, b in pairwise(stops)]
-        if gaps:
-            for i in compress(range(count), map(not_, lengths)):
-                values[i] = None
+        sep, marker = self.u32(), self.u32()
+        if sep == marker or not (_is_scalar(sep) and _is_scalar(marker)):
+            raise CorruptFileError("string table terminators are not two distinct characters")
+        values = self.text().split(chr(sep))
+        # every entry ends in the separator, so the last part is empty
+        if values.pop() or len(values) != count:
+            raise CorruptFileError("string table does not hold its count of entries")
+        marker = chr(marker)
+        if marker in values:
+            if not absent:
+                raise CorruptFileError("absent entry in a list that must be complete")
+            gaps = compress(range(count), map(eq, values, repeat(marker)))
+            any(map(setitem, repeat(values), gaps, repeat(None)))  # any() only drains the map
         return values
 
     def bits(self) -> BitSequence:
         bs, self.pos = BitSequence.from_bytes(self.buf[: self.end], self.pos)
         return bs
 
-    def u64_array(self) -> list[int]:
+    def u32_array(self) -> array:
         count = self.u64()
-        if count > (self.end - self.pos) // 8:
+        if count > (self.end - self.pos) // 4:
             raise CorruptFileError("truncated array")
-        pos = self._take(8 * count)
-        return list(struct.unpack_from(f"<{count}Q", self.buf, pos))
+        pos = self._take(4 * count)
+        values = array("I")
+        values.frombytes(self.buf[pos : pos + 4 * count])
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
 
     def done(self):
         if self.pos != self.end:
@@ -568,8 +592,8 @@ def _read_attrs(r: _Reader, schema: TypeTable):
 def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):
     _write_k2(w, rel.base)
     w.bits(rel.multi)
-    w.u64_array(rel.last)
-    w.u64_array(rel.more)
+    w.u32_array(rel.last)
+    w.u32_array(rel.more)
 
 
 _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
@@ -595,8 +619,8 @@ def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
         raise CorruptFileError(f"relations k2-tree side does not match the {nodes} nodes")
     _check_k2(base)
     multi = r.bits()
-    last = r.u64_array()
-    more = r.u64_array()
+    last = r.u32_array()
+    more = r.u32_array()
     if multi.n != base.L.ones or len(last) != multi.n:
         raise CorruptFileError("relations auxiliary arrays do not match leaf count")
     # one "0" or "1" byte per leaf, spelled out from the Multi words

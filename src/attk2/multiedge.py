@@ -6,7 +6,8 @@ leaves holding several parallel edges, Last stores either the single edge id
 or the end position of the leaf's run inside More, and More concatenates the
 id runs of all multi-edge leaves in ordinal order. The run of a multi leaf
 with ordinal i ends at Last[i] and starts right after the previous multi
-leaf's run (position 1 when there is none).
+leaf's run (position 1 when there is none). Last and More are `array('I')`,
+32-bit unsigned like their wire form, in a built and in a loaded store alike.
 
 The dynamic form replaces Multi/Last/More with one growable id list per leaf.
 
@@ -17,6 +18,7 @@ a column, for the dynamic store's `related` and `remove_node`.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Iterable
 
@@ -35,7 +37,7 @@ class MultiEdgeK2Tree:
 
     __slots__ = ("base", "multi", "last", "more")
 
-    def __init__(self, base: K2Tree, multi: BitSequence, last: list[int], more: list[int]):
+    def __init__(self, base: K2Tree, multi: BitSequence, last: array, more: array):
         self.base = base
         self.multi = multi
         self.last = last
@@ -71,6 +73,10 @@ class MultiEdgeK2Tree:
                 multi_bits.append(1)
                 more.extend(ids)
                 last.append(len(more))
+        try:
+            last, more = array("I", last), array("I", more)
+        except OverflowError:
+            raise InputError("an edge id is outside the 32-bit range of Last/More") from None
         return cls(base, BitSequence(multi_bits), last, more)
 
     neighbor_cols = _neighbor_cols

@@ -79,7 +79,7 @@ def test_related(store):
 def test_relations_layer_shape(store):
     assert edges_between(store.relations, 4, 5) == [4, 5]
     assert store.relations.multi.to_bits() == [0, 0, 0, 1, 0, 0]
-    assert store.relations.more == [4, 5]
+    assert store.relations.more.tolist() == [4, 5]
 
 
 def test_build_rejects_schema_violation():

@@ -223,7 +223,7 @@ def test_load_rejects_version_1(tmp_path, store, capsys):
     io.save_db(store, path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeTypes\n", encoding="utf-8")
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(io.MAGIC), version)
         path.write_bytes(bytes(data))
@@ -292,23 +292,25 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
     path = tmp_path / "s.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # the id-map section opens with the node table: u64 count 5, five u32
-    # lengths (code points + 1), u64 byte size 5, blob "12345"
+    # the id-map section opens with the node table: u64 count 5, u32
+    # separator 0, u32 absent marker 1, u64 byte size 10, then each id
+    # followed by the separator
     offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
-    assert struct.unpack_from("<Q5IQ5s", data, offset) == (5, 2, 2, 2, 2, 2, 5, b"12345")
-    blob = 8 + 5 * 4 + 8
+    node_ids = b"1\x002\x003\x004\x005\x00"
+    assert struct.unpack_from("<Q2IQ10s", data, offset) == (5, 0, 1, 10, node_ids)
+    blob = 8 + 4 + 4 + 8
     # the node attributes open with Paper.Title's entry, its string table
-    # (u64 count 2, two u32 lengths, u64 byte size 33, blob); one value of 37
-    # bytes fills as many
+    # (u64 count 2, separator, marker, u64 byte size 35, blob); one value of
+    # 34 bytes fills as many
     attrs, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
-    title = struct.pack("<Q2IQ", 2, 19, 16, 33) + b"Compressing graphsGraph databases"
+    title = struct.pack("<Q2IQ", 2, 0, 1, 35) + b"Compressing graphs\x00Graph databases\x00"
     assert data[attrs : attrs + len(title)] == title
-    one_value = struct.pack("<QIQ", 1, 38, 37) + b"x" * 37
+    one_value = struct.pack("<Q2IQ", 1, 0, 1, 35) + b"x" * 34 + b"\x00"
     assert len(one_value) == len(title)
     cases = {
-        "string lengths do not match": (io.SEC_ID_MAPS, 8, struct.pack("<I", 3)),
+        "does not hold its count of entries": (io.SEC_ID_MAPS, 0, struct.pack("<Q", 6)),
         "not valid UTF-8": (io.SEC_ID_MAPS, blob, b"\xff"),
-        "absent entry": (io.SEC_ID_MAPS, 8, struct.pack("<II", 0, 3)),
+        "absent entry": (io.SEC_ID_MAPS, blob, b"\x01"),
         "Paper.Title does not match its label's id range": (io.SEC_NODE_ATTRS, 0, one_value),
         "duplicate external id": (io.SEC_ID_MAPS, blob, b"2"),
     }
@@ -324,16 +326,76 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
         io.load_db(path)
 
 
+@pytest.mark.parametrize(
+    "values, sep, marker",
+    [
+        ([], 0, 1),
+        ([""], 0, 1),
+        (["a\x00b", "\x01", "", "\x02c"], 3, 4),  # the terminators move past them
+        (["\U0001d11e", "x\U0001f600", "\U0010ffff"], 0, 1),
+        ([None, "", None, "a", ""], 0, 1),
+    ],
+    ids=["empty", "one-empty-string", "low-code-points", "non-bmp", "absent-beside-empty"],
+)
+def test_string_table_round_trip(values, sep, marker):
+    w = io._Writer()
+    w.texts(values)
+    raw = w.getvalue()
+    assert struct.unpack_from("<Q2I", raw) == (len(values), sep, marker)
+    r = io._Reader(raw)
+    back = r.texts(absent=True)
+    r.done()
+    assert back == values
+    again = io._Writer()
+    again.texts(back)
+    assert again.getvalue() == raw
+
+
+@pytest.mark.parametrize(
+    "at, raw, message",
+    [
+        (8, struct.pack("<I", 1), "terminators are not two distinct characters"),
+        (12, struct.pack("<I", 0x110000), "terminators are not two distinct characters"),
+        (8, struct.pack("<I", 0xD800), "terminators are not two distinct characters"),
+        (24 + 9, b"6", "does not hold its count of entries"),
+        (24 + 4, b"\x01", "absent entry in a list that must be complete"),
+    ],
+    ids=["separator-is-marker", "past-0x10ffff", "surrogate", "no-final-terminator", "marker"],
+)
+def test_load_checks_the_string_table_terminators(tmp_path, store, capsys, at, raw, message):
+    # the node id map: u64 count 5, u32 separator 0, u32 absent marker 1,
+    # u64 byte size 10, then "1" to "5", each followed by the separator
+    path = tmp_path / "m.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
+    assert data[offset + 24 : offset + 34] == b"1\x002\x003\x004\x005\x00"
+    path.write_bytes(_patched(data, io.SEC_ID_MAPS, at, raw))
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeType\t3\n", encoding="utf-8")
+    _rejected_everywhere(capsys, path, script, message)
+
+
+def test_save_rejects_a_relations_value_past_32_bits(tmp_path, store):
+    rel = store.relations
+    path = tmp_path / "big.db"
+    for last, more in (([*rel.last[:5], 2**32], rel.more), (rel.last, [4, 2**32])):
+        store.relations = MultiEdgeK2Tree(rel.base, rel.multi, last, more)
+        with pytest.raises(InputError, match="32-bit range"):
+            io.save_db(store, path)
+    assert not path.exists()
+
+
 def test_load_rejects_a_dense_column_out_of_order(tmp_path, store):
     path = tmp_path / "d.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # Position's string table: u64 count 2, u32 lengths (code points + 1),
-    # u64 blob size 13, blob; swap the two values and their lengths
-    table = struct.pack("<Q2IQ", 2, 6, 9, 13) + b"ChairLecturer"
+    # Position's string table: u64 count 2, u32 separator 0, u32 absent
+    # marker 1, u64 blob size 15, blob; swap the two values
+    table = struct.pack("<Q2IQ", 2, 0, 1, 15) + b"Chair\x00Lecturer\x00"
     offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
     at = data.index(table, offset) - offset
-    swapped = struct.pack("<Q2IQ", 2, 9, 6, 13) + b"LecturerChair"
+    swapped = struct.pack("<Q2IQ", 2, 0, 1, 15) + b"Lecturer\x00Chair\x00"
     path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, swapped))
     with pytest.raises(CorruptFileError, match="dense column values"):
         io.load_db(path)
@@ -499,27 +561,29 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
     path = tmp_path / "r.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # Last (u64 count 6, then u64 values) and More follow the Multi bitmap
-    # 000100: leaf 3 holds edges 4 and 5 from node 4 to 5, so its Last entry
-    # is the end of its run in More; the others are single edge ids
-    arrays = struct.pack("<7Q3Q", 6, 1, 6, 7, 2, 2, 3, 2, 4, 5)
+    # Last (u64 count 6, then u32 values) and More (u64 count 2, u32 values)
+    # follow the Multi bitmap 000100: leaf 3 holds edges 4 and 5 from node 4
+    # to 5, so its Last entry is the end of its run in More; the others are
+    # single edge ids
+    arrays = struct.pack("<Q6IQ2I", 6, 1, 6, 7, 2, 2, 3, 2, 4, 5)
     offset, _ = io.section_table(data)[io.SEC_RELATIONS]
     at = data.index(arrays, offset) - offset
     script = tmp_path / "script.tsv"
     script.write_text("Related\tColleague\t4\nRelated\tAuthor\t3\n", encoding="utf-8")
     assert main(["query", "--db", str(path), "--script", str(script)]) == 0
     assert capsys.readouterr().out == "5\n1\n"
+    more = 8 + 6 * 4 + 8  # where More's values start
     cases = [
-        ("do not tile", 3 * 8 + 8, [99]),  # a run past the end of More
-        ("do not tile", 3 * 8 + 8, [1]),  # a run short of the end of More
-        ("outside 1..7", 0 * 8 + 8, [0]),  # a single edge id of 0
-        ("outside 1..7", 0 * 8 + 8, [99]),  # a single edge id past the edges
-        ("outside 1..7", 7 * 8 + 8 + 8, [8]),  # an id in More past the edges
-        ("each edge id 1..7 once", 0 * 8 + 8, [3]),  # edge 3 twice, edge 1 never
-        ("does not ascend", 7 * 8 + 8, [5, 4]),  # the run of leaf 3 descends
+        ("do not tile", 8 + 3 * 4, [99]),  # a run past the end of More
+        ("do not tile", 8 + 3 * 4, [1]),  # a run short of the end of More
+        ("outside 1..7", 8 + 0 * 4, [0]),  # a single edge id of 0
+        ("outside 1..7", 8 + 0 * 4, [99]),  # a single edge id past the edges
+        ("outside 1..7", more + 1 * 4, [8]),  # an id in More past the edges
+        ("each edge id 1..7 once", 8 + 0 * 4, [3]),  # edge 3 twice, edge 1 never
+        ("does not ascend", more, [5, 4]),  # the run of leaf 3 descends
     ]
     for message, field, values in cases:
-        raw = struct.pack(f"<{len(values)}Q", *values)
+        raw = struct.pack(f"<{len(values)}I", *values)
         path.write_bytes(_patched(data, io.SEC_RELATIONS, at + field, raw))
         with pytest.raises(CorruptFileError, match=message):
             io.load_db(path)

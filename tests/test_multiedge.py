@@ -18,8 +18,8 @@ def rel():
 def test_running_example_encoding(rel):
     assert rel.base.L.ones == 6
     assert rel.multi.to_bits() == [0, 0, 0, 1, 0, 0]
-    assert rel.last == [1, 6, 7, 2, 2, 3]
-    assert rel.more == [4, 5]
+    assert rel.last.tolist() == [1, 6, 7, 2, 2, 3]
+    assert rel.more.tolist() == [4, 5]
 
 
 def test_edges_between_running_example(rel):
@@ -62,9 +62,17 @@ def test_empty_structure():
 def test_three_parallel_edges():
     m = MultiEdgeK2Tree.build(3, [(5, 2, 3), (1, 2, 3), (9, 2, 3)])
     assert m.multi.to_bits() == [1]
-    assert m.last == [3]
-    assert m.more == [1, 5, 9]
+    assert m.last.tolist() == [3]
+    assert m.more.tolist() == [1, 5, 9]
     assert edges_between(m, 2, 3) == [1, 5, 9]
+
+
+def test_edge_ids_must_fit_in_32_bits():
+    MultiEdgeK2Tree.build(2, [(2**32 - 1, 1, 2)])
+    for eid in (2**32, -1):  # a single edge, and one of a parallel pair
+        for triples in ([(eid, 1, 2)], [(eid, 1, 2), (1, 1, 2)]):
+            with pytest.raises(InputError, match="32-bit range"):
+                MultiEdgeK2Tree.build(2, triples)
 
 
 def test_duplicate_edge_id_rejected():
