@@ -19,12 +19,15 @@ tree that took 12.5 µs against 24.3 µs for a one-cell `row_leaves`. Only
 change it on the way. A whole-tree read is `_cells`, one level-order pass over
 the bits of T and then L with no rank call: the inverse of `build_with_order`.
 
-Static k=2 trees keep two unrolled row walks that read the words inline,
-`_row_leaves2` and `_row_leaves2_full`. Attribute lookups, Neighbors and
-Related run on them; routed through the shared descent, those 40k-node /
-100k-edge query sets ran 1.3×, 1.5× and 1.8× slower (CPython 3.11, 2 vCPUs).
-A static column takes the shared descent at every k. The static store walks a
-dense value column once, on the column's first select, and keeps its ids.
+A static k=2 row takes its own walk in `K2Tree.row_leaves`, which reads the
+words inline: the row picks the same half of every block of one level, so the
+two children it may enter are adjacent bits of one word, numbered by one
+popcount. Attribute lookups, Neighbors and Related run on it; routed through
+the shared descent, those 40k-node / 100k-edge query sets ran 1.5–1.6×, 2.5×
+and 2.7× slower (CPython 3.11, 2 vCPUs, min of 20 alternating rounds in one
+process). A static column takes the shared descent at every k. The static
+store walks a dense value column once, on the column's first select, and
+keeps its ids.
 
 Rows and columns are 1-based in the public API.
 """
@@ -237,102 +240,48 @@ class K2Tree:
             return []
         self._check_rc(r, c1)
         self._check_rc(r, c2)
-        if c1 == 1 and c2 == self.n_logical:
-            return self._row_leaves2_full(r - 1)
-        return self._row_leaves2(r - 1, c1 - 1, c2 - 1)
-
-    def _row_leaves2(self, rr: int, lo: int, hi: int) -> list[tuple[int, int]]:
-        # unrolled k=2 variant of row_leaves; this is the hottest loop in the
-        # package, so children are pushed inline instead of via a temp list
+        # The k=2 row walk. Below a block whose children have side 2^j the
+        # row lies in half (rr >> j) & 1, the same for every block of the
+        # level, so its two children are T bits p and p+1: one word holds
+        # both (blocks start at multiples of 4), and one popcount numbers
+        # them. A pushed block meets the window lo..hi, so each child needs
+        # one test. Stack entries are (block start, first column, j); a block
+        # with j = 0 lies in L, where one shift reads the row's two cells.
+        rr = r - 1
+        lo = c1 - 1
+        hi = c2 - 1
         tw = self.T._words
         tc = self.T._cum
         tn = self.T.n
         lw = self.L._words
         out = []
-        stack = [(0, self.n >> 1, rr, 0)]
+        emit = out.append
+        stack = [(0, 0, self.n.bit_length() - 2)]
         pop = stack.pop
         push = stack.append
-        emit = out.append
         while stack:
-            start, sub, rr, col0 = pop()
-            if rr >= sub:
-                rr -= sub
-                start += 2
-            if sub == 1:
-                q = start - tn
-                if lo <= col0 <= hi and (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((col0 + 1, q))
-                col0 += 1
-                q += 1
-                if lo <= col0 <= hi and (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((col0 + 1, q))
+            start, col0, j = pop()
+            p = start + ((rr >> j & 1) << 1)
+            if not j:
+                p -= tn
+                pair = lw[p >> 6] >> (p & 63)
+                if pair & 1 and col0 >= lo:
+                    emit((col0 + 1, p))
+                if pair & 2 and col0 < hi:
+                    emit((col0 + 2, p + 1))
                 continue
-            half = sub >> 1
-            c1 = col0 + sub
-            if c1 <= hi and c1 + sub > lo:
-                p = start + 1
-                if (tw[p >> 6] >> (p & 63)) & 1:
-                    p += 1
-                    w = p >> 6
-                    rem = p & 63
-                    ones = tc[w]
-                    if rem:
-                        ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                    push((ones << 2, half, rr, c1))
-            if col0 <= hi and col0 + sub > lo:
-                p = start
-                if (tw[p >> 6] >> (p & 63)) & 1:
-                    p += 1
-                    w = p >> 6
-                    rem = p & 63
-                    ones = tc[w]
-                    if rem:
-                        ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                    push((ones << 2, half, rr, col0))
-        return out
-
-    def _row_leaves2_full(self, rr: int) -> list[tuple[int, int]]:
-        # full-width row scan: no column window to test (padding cells are 0)
-        tw = self.T._words
-        tc = self.T._cum
-        tn = self.T.n
-        lw = self.L._words
-        out = []
-        stack = [(0, self.n >> 1, rr, 0)]
-        pop = stack.pop
-        push = stack.append
-        emit = out.append
-        while stack:
-            start, sub, rr, col0 = pop()
-            if rr >= sub:
-                rr -= sub
-                start += 2
-            if sub == 1:
-                q = start - tn
-                if (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((col0 + 1, q))
-                q += 1
-                if (lw[q >> 6] >> (q & 63)) & 1:
-                    emit((col0 + 2, q))
-                continue
-            p = start + 1
-            if (tw[p >> 6] >> (p & 63)) & 1:
-                p += 1
-                w = p >> 6
-                rem = p & 63
-                ones = tc[w]
-                if rem:
-                    ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                push((ones << 2, sub >> 1, rr, col0 + sub))
-            p = start
-            if (tw[p >> 6] >> (p & 63)) & 1:
-                p += 1
-                w = p >> 6
-                rem = p & 63
-                ones = tc[w]
-                if rem:
-                    ones += (tw[w] & ((1 << rem) - 1)).bit_count()
-                push((ones << 2, sub >> 1, rr, col0))
+            w = p >> 6
+            word = tw[w]
+            p &= 63
+            pair = word >> p & 3
+            if pair:
+                ones = tc[w] + (word & ((2 << p) - 1)).bit_count()
+                mid = col0 + (1 << j)
+                j -= 1
+                if pair & 2 and mid <= hi:
+                    push(((ones + 1) << 2, mid, j))
+                if pair & 1 and mid > lo:
+                    push((ones << 2, col0, j))
         return out
 
 

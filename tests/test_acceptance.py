@@ -402,8 +402,8 @@ def test_criterion_6_space_properties(big_store):
     assert tree.bit_size < raw_bits
 
     # (b) the README's claims for the 100k-edge store at seed 7, as reported
-    # by cmd_stats: the relations layer under 90 bits per edge, and the
-    # file's size
+    # by cmd_stats: the relations layer under 90 bits per edge, its succinct
+    # part (T + L + Multi) about 7, and the file's size
     from attk2.cli import main
 
     _root, db, graph = big_store
@@ -416,6 +416,7 @@ def test_criterion_6_space_properties(big_store):
     stats = dict(line.split("\t") for line in buf.getvalue().strip().splitlines())
     bits_per_edge = float(stats["relations_bits_per_edge"])
     assert bits_per_edge < 90.0
+    assert 6.5 <= float(stats["relations_structure_bits_per_edge"]) <= 7.5
     assert int(stats["total_bytes"]) == 2_782_817
     elapsed = time.monotonic() - t0
     report(

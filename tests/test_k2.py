@@ -5,7 +5,7 @@ import random
 import pytest
 
 from attk2.errors import InputError
-from attk2.k2 import DynK2Tree, K2Tree, _cells, _rect_leaves
+from attk2.k2 import DynK2Tree, K2Tree, _cells, _rect_leaves, _row_leaves
 
 from conftest import cell, cells_in, leaf_ordinal
 
@@ -87,7 +87,12 @@ def _leaf_order_key(r, c, n, k):
 @pytest.mark.parametrize("density", [0.001, 0.01, 0.1])
 def test_queries_against_brute_force(k, density):
     rng = random.Random(int(density * 10_000) * 31 + k)
-    n = 128
+    # 100 is no power of k: its full-width windows cross the padding
+    for n in (128, 100):
+        _check_against_brute_force(rng, n, k, density)
+
+
+def _check_against_brute_force(rng, n, k, density):
     cells = {
         (rng.randint(1, n), rng.randint(1, n))
         for _ in range(int(n * n * density) + 1)
@@ -120,11 +125,25 @@ def test_queries_against_brute_force(k, density):
         lo = rng.randint(1, n)
         hi = rng.randint(lo - 1, n)  # an empty window now and then
         if rng.random() < 0.2:
-            lo, hi = 1, n  # the full-width row walk at k=2
+            lo, hi = 1, n
         row = [(c, pos[line, c]) for c in range(lo, hi + 1) if (line, c) in cells]
         col = [(r, pos[r, line]) for r in range(lo, hi + 1) if (r, line) in cells]
         assert t.row_leaves(line, lo, hi) == row
         assert t.col_leaves(line, lo, hi) == col
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.7])
+def test_row_walk_matches_the_shared_descent(density):
+    """The static k=2 row walk against `_rect_leaves`, on every row and every
+    column window of sides 1 to 17."""
+    rng = random.Random(int(density * 100))
+    for n in range(1, 18):
+        cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if rng.random() < density]
+        t = K2Tree.build(n, cells, 2)
+        for r in range(1, n + 1):
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    assert t.row_leaves(r, lo, hi) == _row_leaves(t, r, lo, hi)
 
 
 def test_leaf_ordinal_matches_enumeration():
