@@ -205,10 +205,6 @@ class DynDenseAttribute:
         self.values: list[str] = []
         self._col_of: dict[str, int] = {}
 
-    def _ensure(self, side: int):
-        while self.tree.n < side:
-            self.tree.grow()
-
     def set(self, elem_id: int, value: str):
         """Last-write-wins assignment; unseen values open a new final column."""
         col = self._col_of.get(value)
@@ -216,11 +212,10 @@ class DynDenseAttribute:
             self.values.append(value)
             col = len(self.values)
             self._col_of[value] = col
-        self._ensure(max(elem_id, col))
+        self.tree.set(elem_id, col)  # grows the side until the cell fits
         for prev_col, _ in self.tree.row_leaves(elem_id, 1, self.tree.n):
             if prev_col != col:
                 self.tree.clear(elem_id, prev_col)
-        self.tree.set(elem_id, col)
 
     def clear(self, elem_id: int):
         """Drop the element's value, if any."""

@@ -12,7 +12,9 @@ lists every bit, for `k2._cells`, the whole-tree read.
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
 position of the j-th one. ``access_rank(i)`` returns ``(access(i), rank1(i))``
-and locates i once; the k²-tree descents read bits through it.
+and locates i once; the k²-tree descents read bits through it. `select1` and
+`access` have no caller left in the package; they stay for the acceptance
+suite's criterion 4 and `tests/test_bits.py`.
 """
 
 from __future__ import annotations

@@ -165,15 +165,11 @@ class DynAttK2Graph:
             return UNDEFINED
         if info[1]:
             hits = self._dense(kind)[att].select(value, 1, schema.count)
-            out = [i for i in hits if schema.type_of(i) == label]
-        else:
-            # ids of one label increase with their rank
-            ranks = self._sparse(kind)[(label, att)].select(value)
-            out = [schema.select_in_label(label, r) for r in ranks]
-        dead = self._dead(kind)
-        if dead:
-            out = [i for i in out if i not in dead]
-        return out
+            return [i for i in hits if schema.type_of(i) == label]
+        # ids of one label increase with their rank; a removed element has no
+        # values left (`_clear_values`), so nothing here is a tombstone
+        ranks = self._sparse(kind)[(label, att)].select(value)
+        return [schema.select_in_label(label, r) for r in ranks]
 
     def neighbors(self, node_label: str, node_id: int) -> list[int]:
         self._check_node(node_id)

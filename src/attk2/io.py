@@ -625,7 +625,7 @@ def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
         raise CorruptFileError("relations auxiliary arrays do not match leaf count")
     # one "0" or "1" byte per leaf, spelled out from the Multi words
     flags = "".join(f"{w:064b}"[::-1] for w in multi._words)[: multi.n].encode()
-    bounds = [0, *compress(last, flags.translate(_IS_ONE))]  # 0, then the run ends
+    bounds = array("I", [0, *compress(last, flags.translate(_IS_ONE))])  # 0, the run ends
     if bounds[-1] != len(more) or not all(map(lt, bounds, bounds[1:])):
         raise CorruptFileError("multi-edge runs do not tile the More array")
     singles = list(compress(last, flags.translate(_IS_ZERO)))
@@ -641,7 +641,7 @@ def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
     inside = _mask(len(more) + 1, bounds, 0)[1:-1]  # 1 where More[p] continues a run
     if any(compress(map(ge, more, islice(more, 1, None)), inside)):
         raise CorruptFileError("a multi-edge run in More does not ascend")
-    return MultiEdgeK2Tree(base, multi, last, more)
+    return MultiEdgeK2Tree(base, multi, last, more, bounds)
 
 
 def _read_id_map(r: _Reader) -> IdMap:

@@ -4,30 +4,32 @@ The matrix side is padded to the next power of k. Internal levels live in the
 T bitmap, the single-cell leaf level in L, both laid out levelwise with
 children in row-major order inside each k² block. The children of the j-th
 one of T start at concatenated position j*k² (block 0 belongs to the virtual
-root), so navigation needs nothing beyond rank over T, and L carries rank
-support so leaf ones can be numbered.
+root), so navigation needs nothing beyond rank over T. Reads and writes name
+a leaf by its ordinal, the 1-based rank of its one in L, which indexes the
+relations layer's Multi/Last or lists: only this module locates a leaf in L.
 
 Both trees navigate the same way, so the read-only descents are written once,
-against a two-method bit-vector protocol that `BitSequence` and
-`DynBitSequence` both implement: ``access(p)`` and ``access_rank(p)``, which
-returns ``(access(p), rank1(p))`` after locating p once. `_leaf_pos` is the
-point descent (a cell's L position) and `_rect_leaves` the rectangle descent;
-a row or a column is its one-row or one-column case. `DynMultiEdge.remove_edge`
-finds its leaf with `_leaf_pos`: on a replayed 10k-node / 25k-edge dynamic
-tree that took 12.5 µs against 24.3 µs for a one-cell `row_leaves`. Only
-`DynK2Tree.set` and `DynK2Tree.clear` walk the tree themselves, because they
-change it on the way. A whole-tree read is `_cells`, one level-order pass over
-the bits of T and then L with no rank call: the inverse of `build_with_order`.
+against the one bit-vector method that `BitSequence` and `DynBitSequence`
+share: ``access_rank(p)``, which returns ``(access(p), rank1(p))`` after
+locating p once. `_leaf_pos` is the point descent (a cell's ordinal, 0 when
+the cell is 0) and `_rect_leaves` the rectangle descent; a row or a column is
+its one-row or one-column case. `DynMultiEdge.remove_edge` finds its leaf
+with `_leaf_pos`: on a replayed 10k-node / 25k-edge dynamic tree that took
+12.5 µs against 24.3 µs for a one-cell `row_leaves`. Only `DynK2Tree.set`,
+which grows the side until the cell fits, and `DynK2Tree.clear` walk the tree
+themselves, because they change it on the way. A whole-tree read is `_cells`,
+one level-order pass over the bits of T and then L with no rank call: the
+inverse of `build_with_order`.
 
 A static k=2 row takes its own walk in `K2Tree.row_leaves`, which reads the
 words inline: the row picks the same half of every block of one level, so the
 two children it may enter are adjacent bits of one word, numbered by one
-popcount. Attribute lookups, Neighbors and Related run on it; routed through
-the shared descent, those 40k-node / 100k-edge query sets ran 1.5–1.6×, 2.5×
-and 2.7× slower (CPython 3.11, 2 vCPUs, min of 20 alternating rounds in one
-process). A static column takes the shared descent at every k. The static
-store walks a dense value column once, on the column's first select, and
-keeps its ids.
+popcount; one more numbers the row's two cells of a leaf block. Attribute
+lookups, Neighbors and Related run on it; routed through the shared descent,
+those 40k-node / 100k-edge query sets ran 1.5–1.6×, 2.5× and 2.7× slower
+(CPython 3.11, 2 vCPUs, min of 20 alternating rounds in one process). A
+static column takes the shared descent at every k. The static store walks a
+dense value column once, on the column's first select, and keeps its ids.
 
 Rows and columns are 1-based in the public API.
 """
@@ -49,8 +51,7 @@ def _padded_side(n_logical: int, k: int) -> int:
 
 
 def _leaf_pos(tree, r: int, c: int) -> int:
-    """0-based position in L of cell (r, c)'s bit (0-based coordinates), or
-    -1 if the cell is 0."""
+    """Leaf ordinal of cell (r, c) (0-based coordinates); 0 if the cell is 0."""
     k = tree.k
     k2 = k * k
     access_rank = tree.T.access_rank
@@ -59,19 +60,18 @@ def _leaf_pos(tree, r: int, c: int) -> int:
     while size > 1:
         bit, ones = access_rank(pos + (r // size) * k + (c // size) + 1)
         if not bit:
-            return -1
+            return 0
         r %= size
         c %= size
         pos = ones * k2
         size //= k
-    q = pos + r * k + c - tree.T.n
-    return q if tree.L.access(q + 1) else -1
+    bit, ordinal = tree.L.access_rank(pos + r * k + c - tree.T.n + 1)
+    return ordinal if bit else 0
 
 
 def _rect_leaves(tree, rlo: int, rhi: int, clo: int, chi: int) -> list[tuple[int, int, int]]:
-    """(row, col, 0-based L position) triples, rows and columns 1-based and
-    sorted, of the ones in rows rlo..rhi and columns clo..chi (0-based,
-    inclusive).
+    """(row, col, leaf ordinal) triples, rows and columns 1-based and sorted,
+    of the ones in rows rlo..rhi and columns clo..chi (0-based, inclusive).
 
     The walk goes level by level, so leaves come out in L order; inside one
     row or one column that is already column or row order.
@@ -98,7 +98,7 @@ def _rect_leaves(tree, rlo: int, rhi: int, clo: int, chi: int) -> list[tuple[int
                         nxt.append((ones * k2, row, col))
         level = nxt
         sub //= k
-    access = tree.L.access
+    access_rank = tree.L.access_rank
     tn = tree.T.n
     out = []
     for start, row0, col0 in level:
@@ -107,8 +107,10 @@ def _rect_leaves(tree, rlo: int, rhi: int, clo: int, chi: int) -> list[tuple[int
             if rlo <= row <= rhi:
                 q = start + i * k - tn
                 for j in range(k):
-                    if clo <= col0 + j <= chi and access(q + j + 1):
-                        out.append((row + 1, col0 + j + 1, q + j))
+                    if clo <= col0 + j <= chi:
+                        bit, ordinal = access_rank(q + j + 1)
+                        if bit:
+                            out.append((row + 1, col0 + j + 1, ordinal))
     out.sort()
     return out
 
@@ -132,21 +134,21 @@ def _cells(tree) -> list[tuple[int, int]]:
 
 
 def _row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
-    """(col, 0-based L position) pairs for ones in row r, cols c1..c2."""
+    """(col, leaf ordinal) pairs for ones in row r, cols c1..c2."""
     if c1 > c2:
         return []
     self._check_rc(r, c1)
     self._check_rc(r, c2)
-    return [(c, q) for _, c, q in _rect_leaves(self, r - 1, r - 1, c1 - 1, c2 - 1)]
+    return [(c, i) for _, c, i in _rect_leaves(self, r - 1, r - 1, c1 - 1, c2 - 1)]
 
 
 def _col_leaves(self, c: int, r1: int, r2: int) -> list[tuple[int, int]]:
-    """(row, 0-based L position) pairs for ones in column c, rows r1..r2."""
+    """(row, leaf ordinal) pairs for ones in column c, rows r1..r2."""
     if r1 > r2:
         return []
     self._check_rc(r1, c)
     self._check_rc(r2, c)
-    return [(r, q) for r, _, q in _rect_leaves(self, r1 - 1, r2 - 1, c - 1, c - 1)]
+    return [(r, i) for r, _, i in _rect_leaves(self, r1 - 1, r2 - 1, c - 1, c - 1)]
 
 
 class K2Tree:
@@ -233,7 +235,7 @@ class K2Tree:
     col_leaves = _col_leaves
 
     def row_leaves(self, r: int, c1: int, c2: int) -> list[tuple[int, int]]:
-        """(col, 0-based L position) pairs for ones in row r, cols c1..c2."""
+        """(col, leaf ordinal) pairs for ones in row r, cols c1..c2."""
         if self.k != 2:
             return _row_leaves(self, r, c1, c2)
         if c1 > c2:
@@ -246,7 +248,8 @@ class K2Tree:
         # both (blocks start at multiples of 4), and one popcount numbers
         # them. A pushed block meets the window lo..hi, so each child needs
         # one test. Stack entries are (block start, first column, j); a block
-        # with j = 0 lies in L, where one shift reads the row's two cells.
+        # with j = 0 lies in L, where one shift reads the row's two cells and
+        # one popcount against L's directory numbers them.
         rr = r - 1
         lo = c1 - 1
         hi = c2 - 1
@@ -254,6 +257,7 @@ class K2Tree:
         tc = self.T._cum
         tn = self.T.n
         lw = self.L._words
+        lc = self.L._cum
         out = []
         emit = out.append
         stack = [(0, 0, self.n.bit_length() - 2)]
@@ -264,11 +268,16 @@ class K2Tree:
             p = start + ((rr >> j & 1) << 1)
             if not j:
                 p -= tn
-                pair = lw[p >> 6] >> (p & 63)
-                if pair & 1 and col0 >= lo:
-                    emit((col0 + 1, p))
-                if pair & 2 and col0 < hi:
-                    emit((col0 + 2, p + 1))
+                w = p >> 6
+                word = lw[w]
+                p &= 63
+                pair = word >> p & 3
+                if pair:
+                    ordinal = lc[w] + (word & ((1 << p) - 1)).bit_count() + (pair & 1)
+                    if pair & 1 and col0 >= lo:
+                        emit((col0 + 1, ordinal))
+                    if pair & 2 and col0 < hi:
+                        emit((col0 + 2, ordinal + 1))
                 continue
             w = p >> 6
             word = tw[w]
@@ -327,9 +336,13 @@ class DynK2Tree:
         self.T.insert_zeros(1, k2)
         self.T.set_bit(1, 1)
 
-    def set(self, r: int, c: int) -> tuple[int, int, bool]:
-        """Set cell (r, c); returns (leaf ordinal, 0-based L position, created)."""
-        self._check_rc(r, c)
+    def set(self, r: int, c: int) -> tuple[int, bool]:
+        """Set cell (r, c), growing the side until it fits; returns (leaf
+        ordinal, created)."""
+        if r < 1 or c < 1:
+            raise IndexError(f"cell ({r}, {c}) must have positive coordinates")
+        while self.n < r or self.n < c:
+            self.grow()
         k = self.k
         k2 = k * k
         t = self.T
@@ -345,9 +358,9 @@ class DynK2Tree:
                 lp = p - t.n
                 bit, ordinal = l.access_rank(lp + 1)
                 if bit:
-                    return ordinal, lp, False
+                    return ordinal, False
                 l.set_bit(lp + 1, 1)
-                return ordinal + 1, lp, True
+                return ordinal + 1, True
             bit, ones = t.access_rank(p + 1)
             if not bit:
                 break
@@ -368,7 +381,7 @@ class DynK2Tree:
                 lp = start - t.n + child
                 l.insert_zeros(start - t.n + 1, k2)
                 l.set_bit(lp + 1, 1)
-                return l.rank1(lp + 1), lp, True
+                return l.rank1(lp + 1), True
             t.insert_zeros(start + 1, k2)
             p = start + child
             t.set_bit(p + 1, 1)

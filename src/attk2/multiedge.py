@@ -1,13 +1,13 @@
 """Relations layer: a k²-tree over node pairs carrying edge identifiers.
 
 Each leaf one of the base tree owns one entry in the auxiliary structures,
-indexed by its levelwise leaf ordinal. In the static form a Multi bitmap flags
-leaves holding several parallel edges, Last stores either the single edge id
-or the end position of the leaf's run inside More, and More concatenates the
-id runs of all multi-edge leaves in ordinal order. The run of a multi leaf
-with ordinal i ends at Last[i] and starts right after the previous multi
-leaf's run (position 1 when there is none). Last and More are `array('I')`,
-32-bit unsigned like their wire form, in a built and in a loaded store alike.
+indexed by its levelwise leaf ordinal, which every `k2` read returns. In the
+static form a Multi bitmap flags leaves holding several parallel edges, Last
+stores either the single edge id or the end position of the leaf's run inside
+More, and More concatenates the id runs of all multi-edge leaves in ordinal
+order. Build and load keep the run bounds: 0, then the end of each run, so
+the m-th multi leaf's run is More[bounds[m-1]:bounds[m]]. Last, More and the
+bounds are `array('I')`, 32-bit unsigned like the wire form of the first two.
 
 The dynamic form replaces Multi/Last/More with one growable id list per leaf.
 
@@ -35,13 +35,16 @@ def _neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
 class MultiEdgeK2Tree:
     """Static multigraph adjacency: base k²-tree plus Multi/Last/More."""
 
-    __slots__ = ("base", "multi", "last", "more")
+    __slots__ = ("base", "multi", "last", "more", "bounds")
 
-    def __init__(self, base: K2Tree, multi: BitSequence, last: array, more: array):
+    def __init__(
+        self, base: K2Tree, multi: BitSequence, last: array, more: array, bounds: array
+    ):
         self.base = base
         self.multi = multi
         self.last = last
         self.more = more
+        self.bounds = bounds  # 0, then the end of each multi leaf's run in More
 
     @classmethod
     def build(
@@ -64,6 +67,7 @@ class MultiEdgeK2Tree:
         multi_bits = []
         last = []
         more = []
+        bounds = [0]
         for pair in order:
             ids = sorted(by_pair[pair])
             if len(ids) == 1:
@@ -73,11 +77,12 @@ class MultiEdgeK2Tree:
                 multi_bits.append(1)
                 more.extend(ids)
                 last.append(len(more))
+                bounds.append(len(more))
         try:
             last, more = array("I", last), array("I", more)
         except OverflowError:
             raise InputError("an edge id is outside the 32-bit range of Last/More") from None
-        return cls(base, BitSequence(multi_bits), last, more)
+        return cls(base, BitSequence(multi_bits), last, more, array("I", bounds))
 
     neighbor_cols = _neighbor_cols
 
@@ -87,25 +92,16 @@ class MultiEdgeK2Tree:
         Avoids materializing id lists: single-edge leaves are one comparison,
         multi leaves bisect their sorted run inside More.
         """
-        n = self.base.n_logical
-        lw = self.base.L._words
-        lc = self.base.L._cum
-        mw = self.multi._words
+        access_rank = self.multi.access_rank
         last = self.last
         more = self.more
+        bounds = self.bounds
         out = []
-        for col, q in self.base.row_leaves(u, 1, n):
-            q += 1
-            w = q >> 6
-            rem = q & 63
-            i = lc[w]
-            if rem:
-                i += (lw[w] & ((1 << rem) - 1)).bit_count()
-            if (mw[(i - 1) >> 6] >> ((i - 1) & 63)) & 1:
-                end = last[i - 1]
-                nth = self.multi.rank1(i)
-                begin = 1 if nth == 1 else last[self.multi.select1(nth - 1) - 1] + 1
-                j = bisect_left(more, elo, begin - 1, end)
+        for col, i in self.base.row_leaves(u, 1, self.base.n_logical):
+            multi, m = access_rank(i)
+            if multi:
+                end = bounds[m]
+                j = bisect_left(more, elo, bounds[m - 1], end)
                 if j < end and more[j] <= ehi:
                     out.append(col)
             elif elo <= last[i - 1] <= ehi:
@@ -135,16 +131,9 @@ class DynMultiEdge:
         self.base = DynK2Tree(k=k)
         self.lists: list[list[int]] = []
 
-    def _ensure_capacity(self, node: int):
-        while self.base.n < node:
-            self.base.grow()
-
     def add_edge(self, eid: int, u: int, v: int):
         """Record edge eid from u to v, setting the base cell when new."""
-        if u < 1 or v < 1:
-            raise IndexError(f"node pair ({u}, {v}) must be positive")
-        self._ensure_capacity(max(u, v))
-        ordinal, _, created = self.base.set(u, v)
+        ordinal, created = self.base.set(u, v)
         if created:
             self.lists.insert(ordinal - 1, [eid])
         else:
@@ -157,10 +146,9 @@ class DynMultiEdge:
         """Delete edge eid from (u, v), clearing the cell if its list empties."""
         if not (1 <= u <= self.base.n and 1 <= v <= self.base.n):
             raise NotFoundError(f"edge {eid} not present at ({u}, {v})")
-        pos = _leaf_pos(self.base, u - 1, v - 1)
-        if pos < 0:
+        ordinal = _leaf_pos(self.base, u - 1, v - 1)
+        if not ordinal:
             raise NotFoundError(f"edge {eid} not present at ({u}, {v})")
-        ordinal = self.base.L.rank1(pos + 1)
         ids = self.lists[ordinal - 1]
         try:
             ids.remove(eid)
@@ -170,19 +158,15 @@ class DynMultiEdge:
             del self.lists[ordinal - 1]
             self.base.clear(u, v)
 
-    def _leaf_ids(self, q: int) -> list[int]:
-        """Edge ids, ascending, of the leaf at 0-based L position q."""
-        return sorted(self.lists[self.base.L.rank1(q + 1) - 1])
-
     def neighbors_with_edges(self, u: int, c1: int, c2: int) -> list[tuple[int, list[int]]]:
         """(target, edge ids) for every target in c1..c2 linked from u."""
-        return [(col, self._leaf_ids(q)) for col, q in self.base.row_leaves(u, c1, c2)]
+        return [(col, sorted(self.lists[i - 1])) for col, i in self.base.row_leaves(u, c1, c2)]
 
     neighbor_cols = _neighbor_cols
 
     def reverse_with_edges(self, v: int, r1: int, r2: int) -> list[tuple[int, list[int]]]:
         """(origin, edge ids) for every origin in r1..r2 linking to v."""
-        return [(row, self._leaf_ids(q)) for row, q in self.base.col_leaves(v, r1, r2)]
+        return [(row, sorted(self.lists[i - 1])) for row, i in self.base.col_leaves(v, r1, r2)]
 
     def all_triples(self) -> list[tuple[int, int, int]]:
         """Every (edge_id, origin, target), in leaf order, each leaf's ids

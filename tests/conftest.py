@@ -85,20 +85,18 @@ def store(bundle):
 
 
 # Reads that only tests need, written over the reads the package runs: the
-# point descent with L's rank, the rectangle descent and the whole-structure
-# decode.
+# point descent, the rectangle descent and the whole-structure decode.
 
 
 def cell(tree, r: int, c: int) -> int:
     """1 when cell (r, c) of a k²-tree is set, else 0."""
-    return int(_leaf_pos(tree, r - 1, c - 1) >= 0)
+    return int(_leaf_pos(tree, r - 1, c - 1) > 0)
 
 
 def leaf_ordinal(tree, r: int, c: int) -> int:
     """1-based levelwise ordinal of cell (r, c)'s one among L's ones; 0 when
     the cell is not set."""
-    pos = _leaf_pos(tree, r - 1, c - 1)
-    return tree.L.rank1(pos + 1) if pos >= 0 else 0
+    return _leaf_pos(tree, r - 1, c - 1)
 
 
 def cells_in(tree, r1: int, r2: int, c1: int, c2: int) -> list[tuple[int, int]]:

@@ -380,7 +380,7 @@ def test_save_rejects_a_relations_value_past_32_bits(tmp_path, store):
     rel = store.relations
     path = tmp_path / "big.db"
     for last, more in (([*rel.last[:5], 2**32], rel.more), (rel.last, [4, 2**32])):
-        store.relations = MultiEdgeK2Tree(rel.base, rel.multi, last, more)
+        store.relations = MultiEdgeK2Tree(rel.base, rel.multi, last, more, rel.bounds)
         with pytest.raises(InputError, match="32-bit range"):
             io.save_db(store, path)
     assert not path.exists()

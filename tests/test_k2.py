@@ -118,8 +118,8 @@ def _check_against_brute_force(rng, n, k, density):
             (r, c) for (r, c) in cells if r1 <= r <= r2 and c1 <= c <= c2
         )
         assert cells_in(t, r1, r2, c1, c2) == want
-    # row and column windows, each leaf's L position found through its ordinal
-    pos = {rc: t.L.select1(leaf_ordinal(t, *rc)) - 1 for rc in cells}
+    # row and column windows, each leaf named by its ordinal
+    pos = {rc: leaf_ordinal(t, *rc) for rc in cells}
     for _ in range(200):
         line = rng.randint(1, n)
         lo = rng.randint(1, n)
@@ -135,12 +135,15 @@ def _check_against_brute_force(rng, n, k, density):
 @pytest.mark.parametrize("density", [0.05, 0.3, 0.7])
 def test_row_walk_matches_the_shared_descent(density):
     """The static k=2 row walk against `_rect_leaves`, on every row and every
-    column window of sides 1 to 17."""
+    column window of sides 1 to 17; each leaf's ordinal is its cell's index in
+    the leaf order."""
     rng = random.Random(int(density * 100))
     for n in range(1, 18):
         cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if rng.random() < density]
         t = K2Tree.build(n, cells, 2)
+        ordinal = {rc: i for i, rc in enumerate(_cells(t), start=1)}
         for r in range(1, n + 1):
+            assert all(ordinal[r, c] == i for c, i in t.row_leaves(r, 1, n))
             for lo in range(1, n + 1):
                 for hi in range(lo, n + 1):
                     assert t.row_leaves(r, lo, hi) == _row_leaves(t, r, lo, hi)
@@ -247,15 +250,23 @@ def test_dyn_matches_static(k):
     assert d.T.to_bits() == static.T.to_bits()
     assert d.L.to_bits() == static.L.to_bits()
     assert _cells(d) == order
-    assert _rect_leaves(d, 0, n - 1, 0, n - 1) == _rect_leaves(static, 0, n - 1, 0, n - 1)
+    # every read names a leaf by its cell's 1-based index in the leaf order
+    ordinal = {rc: i for i, rc in enumerate(order, start=1)}
+    whole = _rect_leaves(d, 0, n - 1, 0, n - 1)
+    assert whole == _rect_leaves(static, 0, n - 1, 0, n - 1)
+    assert all(ordinal[rr, cc] == i for rr, cc, i in whole)
     for r in range(1, n + 1):
-        assert d.row_leaves(r, 1, d.n) == static.row_leaves(r, 1, n)
+        row = d.row_leaves(r, 1, d.n)
+        assert row == static.row_leaves(r, 1, n)
+        assert all(ordinal[r, cc] == i for cc, i in row)
     for _ in range(200):
         r, c = rng.randint(1, n), rng.randint(1, n)
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
         assert d.row_leaves(r, lo, hi) == static.row_leaves(r, lo, hi)
-        assert d.col_leaves(c, lo, hi) == static.col_leaves(c, lo, hi)
+        col = d.col_leaves(c, lo, hi)
+        assert col == static.col_leaves(c, lo, hi)
+        assert all(ordinal[rr, c] == i for rr, i in col)
         r1 = rng.randint(1, n); r2 = rng.randint(r1, n)
         c1 = rng.randint(1, n); c2 = rng.randint(c1, n)
         want = _rect_leaves(d, r1 - 1, r2 - 1, c1 - 1, c2 - 1)
@@ -263,6 +274,9 @@ def test_dyn_matches_static(k):
         assert [(rr, cc) for rr, cc, _ in want] == sorted(
             (rr, cc) for (rr, cc) in cells if r1 <= rr <= r2 and c1 <= cc <= c2
         )
+        assert all(ordinal[rr, cc] == i for rr, cc, i in want)
+    for rc in cells:
+        assert leaf_ordinal(d, *rc) == leaf_ordinal(static, *rc) == ordinal[rc]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -308,10 +322,26 @@ def test_dyn_grow_preserves_cells():
 
 def test_dyn_set_returns_leaf_ordinal():
     d = DynK2Tree(8, k=2)
-    ordinal, _pos, created = d.set(3, 1)
+    ordinal, created = d.set(3, 1)
     assert (ordinal, created) == (1, True)
-    ordinal, _pos, created = d.set(3, 1)
+    ordinal, created = d.set(3, 1)
     assert (ordinal, created) == (1, False)
-    ordinal, _pos, created = d.set(1, 1)
+    ordinal, created = d.set(1, 1)
     assert created and ordinal == 1  # (1,1) precedes (3,1) in leaf order
     assert leaf_ordinal(d, 3, 1) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dyn_set_grows_until_the_cell_fits(k):
+    d = DynK2Tree(2, k=k)
+    d.set(1, 2)
+    assert d.set(k**2 + 1, 1) == (2, True)  # side k, grown twice
+    assert d.n == k**3
+    assert _cells(d) == [(1, 2), (k**2 + 1, 1)]
+    assert d.set(1, k**3) == (2, True) and d.n == k**3  # fits: no growth
+    for r, c in ((0, 1), (1, 0), (-1, 5)):
+        with pytest.raises(IndexError):
+            d.set(r, c)
+    assert d.n == k**3 and len(_cells(d)) == 3
+    e = DynK2Tree(k, k=k)
+    assert e.set(1, k + 1) == (1, True) and e.n == k**2  # a column past the side

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from attk2 import io
 from attk2.errors import InputError, NotFoundError
 from attk2.multiedge import DynMultiEdge, MultiEdgeK2Tree
 
@@ -82,34 +83,68 @@ def test_duplicate_edge_id_rejected():
         MultiEdgeK2Tree.build(3, [(1, 1, 4)])
 
 
+def _read_back(rel):
+    """The relations written and read again through the store's codec."""
+    w = io._Writer()
+    io._write_relations(w, rel)
+    edges = len(rel.last) - rel.multi.ones + len(rel.more)
+    return io._read_relations(io._Reader(w.getvalue()), rel.base.n_logical, edges)
+
+
+def _random_multigraph(rng, n: int, m: int) -> list[tuple[int, int, int]]:
+    """m triples on n nodes; each pair drawn takes a run of 1 to 5 parallel
+    edges with consecutive ids."""
+    triples = []
+    eid = 0
+    while len(triples) < m:
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        for _ in range(rng.randint(1, 5)):
+            if len(triples) >= m:
+                break
+            eid += 1
+            triples.append((eid, u, v))
+    return triples
+
+
 def test_round_trip_on_random_multigraphs():
-    rng = random.Random(0xE0)
-    for _ in range(6):
-        n = rng.randint(2, 200)
-        m = rng.randint(0, 2000)
-        triples = []
-        eid = 0
-        while len(triples) < m:
-            u, v = rng.randint(1, n), rng.randint(1, n)
-            for _ in range(rng.randint(1, 5)):
-                if len(triples) >= m:
-                    break
-                eid += 1
-                triples.append((eid, u, v))
-        rel = MultiEdgeK2Tree.build(n, triples)
-        assert len(rel.all_triples()) == len(triples)
-        assert sorted(rel.all_triples()) == sorted(triples)
+    """Built at k = 2, 3 and 4 and read back, the relations list every triple
+    and answer `related_targets` as a filter of the triples does, for every
+    node and edge-id windows that often cut through a multi leaf's run."""
+    for k in (2, 3, 4):
+        rng = random.Random(0xE0 + k)
+        for _ in range(4):
+            n = rng.randint(2, 100)
+            m = rng.randint(0, 2000)
+            triples = _random_multigraph(rng, n, m)
+            out = {}
+            for e, u, v in triples:
+                out.setdefault(u, []).append((e, v))
+            windows = [(1, m), (m + 1, m + 9)]  # every edge, and none
+            while len(windows) < 50:
+                lo = rng.randint(1, m + 1)
+                windows.append((lo, lo + rng.choice((0, 1, 2, 5, 40))))
+            built = MultiEdgeK2Tree.build(n, triples, k)
+            for rel in (built, _read_back(built)):
+                assert rel.bounds == built.bounds
+                assert len(rel.all_triples()) == len(triples)
+                assert sorted(rel.all_triples()) == sorted(triples)
+                for u in range(1, n + 1):
+                    for lo, hi in windows:
+                        want = sorted({v for e, v in out.get(u, ()) if lo <= e <= hi})
+                        assert rel.related_targets(u, lo, hi) == want
 
 
 def test_leaf_ordinal_consistency(rel):
-    # the index into Multi/Last is exactly the base tree's leaf ordinal; a
-    # multi leaf's run starts after the previous multi leaf's run
+    # the index into Multi/Last is exactly the base tree's leaf ordinal; the
+    # m-th multi leaf's run is More[bounds[m-1]:bounds[m]] and ends at Last
     multi = rel.multi.to_bits()
+    assert rel.bounds.tolist() == [0, 2]
     for (eid, u, v) in RELATION_TRIPLES:
         i = leaf_ordinal(rel.base, u, v)
         if multi[i - 1]:
-            begin = max((rel.last[j] for j in range(i - 1) if multi[j]), default=0)
-            assert eid in rel.more[begin : rel.last[i - 1]]
+            m = rel.multi.rank1(i)
+            assert rel.bounds[m] == rel.last[i - 1]
+            assert eid in rel.more[rel.bounds[m - 1] : rel.bounds[m]]
         else:
             assert rel.last[i - 1] == eid
 
