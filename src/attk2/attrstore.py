@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import is_not
+from typing import Iterable
 
 from .errors import CorruptFileError, InputError
 from .k2 import DynK2Tree, K2Tree
@@ -104,17 +105,11 @@ class DenseAttributeMatrix:
 
     __slots__ = ("matrix", "atts", "col_limits", "col_values", "_att_index", "_columns")
 
-    def __init__(
-        self,
-        matrix: K2Tree | None,
-        atts: list[str],
-        col_limits: list[int],
-        col_values: list[list[str]],
-    ):
+    def __init__(self, matrix: K2Tree | None, atts: list[str], col_values: list[list[str]]):
         self.matrix = matrix
         self.atts = atts
-        self.col_limits = col_limits
         self.col_values = col_values
+        self.col_limits = list(accumulate(map(len, col_values)))  # each block's last column
         self._att_index = {a: i for i, a in enumerate(atts)}
         self._columns: dict[int, array] = {}
 
@@ -124,9 +119,12 @@ class DenseAttributeMatrix:
         n_elements: int,
         triples: list[tuple[int, str, str]],
         k: int = 2,
+        declared: Iterable[str] = (),
     ) -> "DenseAttributeMatrix":
-        """triples: (element id, attribute, value); one value per (id, att)."""
-        per_att: dict[str, dict[int, str]] = {}
+        """triples: (element id, attribute, value); one value per (id, att).
+        The attributes are the `declared` names and those the triples take,
+        sorted; `build_graph` declares its schema's `dense_names()`."""
+        per_att: dict[str, dict[int, str]] = {att: {} for att in declared}
         for elem_id, att, value in triples:
             row = per_att.setdefault(att, {})
             if elem_id in row:
@@ -135,7 +133,6 @@ class DenseAttributeMatrix:
                 )
             row[elem_id] = value
         atts = sorted(per_att)
-        col_limits = []
         col_values = []
         cells = []
         total = 0
@@ -144,12 +141,11 @@ class DenseAttributeMatrix:
             values = sorted(set(rows.values()))
             pos = {v: total + j + 1 for j, v in enumerate(values)}
             total += len(values)
-            col_limits.append(total)
             col_values.append(values)
             for elem_id, value in rows.items():
                 cells.append((elem_id, pos[value]))
         matrix = K2Tree.build(max(n_elements, total), cells, k) if cells else None
-        return cls(matrix, atts, col_limits, col_values)
+        return cls(matrix, atts, col_values)
 
     def _block(self, att: str) -> tuple[int, int]:
         """Inclusive column range of the attribute's block."""

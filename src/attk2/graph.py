@@ -209,12 +209,16 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
             declared = schema_atts.get(label)
             if declared is None:
                 raise InputError(f"{kind} {ext!r} has undeclared label {label!r}")
+            seen = set()
             for att, _ in attr_of(rec):
                 if att not in declared:
                     raise InputError(
                         f"{kind} {ext!r}: attribute {att!r} is not in the schema "
                         f"of label {label!r}"
                     )
+                if att in seen:
+                    raise InputError(f"{kind} {ext!r}: attribute {att!r} given twice")
+                seen.add(att)
 
     check_attrs(NODE, node_atts, nodes, lambda r: r[2])
     check_attrs(EDGE, edge_atts, edges, lambda r: r[4])
@@ -246,7 +250,7 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
                 sparse[(label, att)] = SparseAttribute(
                     label, att, lo, [values.get(i) for i in range(lo, hi + 1)]
                 )
-        dense = DenseAttributeMatrix.build(len(records), dense_triples, k)
+        dense = DenseAttributeMatrix.build(len(records), dense_triples, k, table.dense_names())
         return table, sparse, dense
 
     node_schema, node_sparse, node_dense = build_side(node_atts, nodes, lambda r: r[2])

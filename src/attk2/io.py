@@ -9,48 +9,55 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
-Binary format, version 6: magic "ATTK2TRE", u32 LE version, then a section
+Binary format, version 7: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
 before it, which the loader checks before parsing the section; the table's
 length includes these four bytes. All integers are little-endian; bitmaps use
 the shared wire form (u64 bit count + packed 64-bit words, LSB first within
 each word). Labels and attribute names are single strings (u64 byte length +
-UTF-8). Every string list (an id map, the values of one sparse attribute, the
-values of one dense column) is one string table: u64 count, u32 separator
-code point, u32 absent-marker code point, then u64 byte size and one UTF-8
-blob in which every entry is followed by the separator; an absent sparse
-value is the marker alone, so it stays distinct from "". The writer picks
-the two smallest code points outside the surrogates that occur in no entry
-(in practice \\x00 and \\x01), and the loader cuts the decoded blob with one
-`str.split`. Each attrs section opens with one entry per sparse attribute
-of its schema, in schema order (labels ascending, each label's sparse
-attributes in declaration order), each entry only the value string table;
-the schema fixes the label, name and id range of every entry. Then come the
-dense k²-tree, if the kind has dense columns, and each dense attribute's
-name, last column and column values. The relations section holds the
-k²-tree, the Multi bitmap, then Last and More, each a u64 count and packed
-u32 values. The file holds nothing that can be derived from the rest: the
-sparse value-order indexes are sorted at load, and a dense column's element
-ids are read from the tree on its first select. The writer is deterministic,
-so saving a loaded store reproduces the file byte for byte. Files of
-versions 1 to 5 are rejected; rebuild them from text.
+UTF-8). Each schema section is a u64 label count, then per label: the label,
+its u64 element count, its dense flags as a bitmap (one bit per attribute)
+and its attribute names, in declaration order. Every string list (an id map,
+the values of one sparse attribute, the values of one dense column) is one
+string table: u32 separator code point, u32 absent-marker code point, then
+u64 byte size and one UTF-8 blob in which every entry is followed by the
+separator; an absent sparse value is the marker alone, so it stays distinct
+from "". The writer picks the two smallest code points outside the
+surrogates that occur in no entry (in practice \\x00 and \\x01), and the loader
+cuts the decoded blob with one `str.split`. Each attrs section holds one
+string table per sparse attribute of its schema, in schema order (labels
+ascending, each label's sparse attributes in declaration order), then the
+column values of each attribute name the schema declares dense, names
+ascending, then the dense k²-tree if those columns hold any value. A k²-tree
+is u32 k and the bitmaps T and L. The relations section holds the k²-tree,
+the Multi bitmap, then Last and More as packed u32 values. The id-map section
+holds the node and then the edge id map.
+
+The file holds nothing that can be derived from the rest. Every size follows
+from the schema or from bytes read before it: a label's attribute count is
+its bitmap's length; the relations k²-tree's logical side is the node count
+and a dense tree's the larger of its kind's element and column counts, and
+each side is padded to a power of k; a sparse value list holds one entry per id of its label and
+an id map one per element; Last holds one entry per bit of Multi, and More
+ends where the last multi leaf's run ends. The sparse value-order indexes are
+sorted at load, and a dense column's element ids are read from the tree on
+its first select. The writer is deterministic, so saving a loaded store
+reproduces the file byte for byte. Files of versions 1 to 6 are rejected;
+rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
-on: each k²-tree's side is the padded side of its logical size,
-|T| + |L| = k²·(1 + ones(T)), T ends exactly after its last internal level
-(one rank per level) and no one lies in the padding rows or columns past the
-logical side (two rectangle descents); the relations tree's logical side
-is the node count; a kind has a dense k²-tree exactly when it has dense
-columns, and the tree's logical side is the larger of its element and
-column counts; dense column values ascend bytewise; dense attribute names
-ascend strictly and each is declared dense by a label of its kind; each
-schema section's labels ascend strictly and no label repeats an attribute
-name, and no attribute name is dense under one label and sparse under
-another, across both schema sections; each string table's separator and
-marker are two distinct code points UTF-8 can encode and its blob holds
-exactly its count of terminated entries; each sparse value list holds one
-value per id of its label; id maps hold no duplicate.
+on: in each k²-tree, |T| + |L| = k²·(1 + ones(T)), T ends exactly after its
+last internal level (one rank per level) and no one lies in the padding rows
+or columns past the logical side (two rectangle descents); Multi has one bit
+per leaf of the relations tree; the multi runs tile More, each ascending; the
+leaves hold each edge id 1..edges exactly once; dense column values ascend
+bytewise; each schema section's labels ascend strictly and no label repeats
+an attribute name, and no attribute name is dense under one label and sparse
+under another, across both schema sections; each string table's separator
+and marker are two distinct code points UTF-8 can encode and its blob ends in
+the separator; each sparse value list holds one value per id of its label,
+and each id map one id per element, with no duplicate.
 A dense element with two values in one attribute is found by the query that
 reads its row or its column (`attrstore.DenseAttributeMatrix`).
 """
@@ -72,12 +79,12 @@ from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
 from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap
-from .k2 import K2Tree, _padded_side, _rect_leaves
+from .k2 import K2Tree, _rect_leaves
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable, _mixed_kind
 
 MAGIC = b"ATTK2TRE"
-VERSION = 6
+VERSION = 7
 
 SEC_NODE_SCHEMA = 1
 SEC_EDGE_SCHEMA = 2
@@ -361,7 +368,6 @@ class _Writer:
         present = "".join(filter(None, values))
         free = (c for c in range(0x110000) if _is_scalar(c) and chr(c) not in present)
         sep, marker = islice(free, 2)
-        self.u64(len(values))
         self.u32(sep)
         self.u32(marker)
         sep, marker = chr(sep), chr(marker)
@@ -378,7 +384,6 @@ class _Writer:
             raise InputError("a Last/More value is outside the 32-bit range") from None
         if sys.byteorder == "big":
             values.byteswap()
-        self.u64(len(values))
         self.parts.append(values.tobytes())
 
     def getvalue(self) -> bytes:
@@ -416,20 +421,19 @@ class _Reader:
 
     def texts(self, absent: bool = False) -> list:
         """One string table; absent entries become None where `absent`
-        allows them and are corrupt elsewhere."""
-        count = self.u64()
+        allows them and are corrupt elsewhere. The caller checks the count."""
         sep, marker = self.u32(), self.u32()
         if sep == marker or not (_is_scalar(sep) and _is_scalar(marker)):
             raise CorruptFileError("string table terminators are not two distinct characters")
         values = self.text().split(chr(sep))
         # every entry ends in the separator, so the last part is empty
-        if values.pop() or len(values) != count:
-            raise CorruptFileError("string table does not hold its count of entries")
+        if values.pop():
+            raise CorruptFileError("string table does not end in its separator")
         marker = chr(marker)
         if marker in values:
             if not absent:
                 raise CorruptFileError("absent entry in a list that must be complete")
-            gaps = compress(range(count), map(eq, values, repeat(marker)))
+            gaps = compress(range(len(values)), map(eq, values, repeat(marker)))
             any(map(setitem, repeat(values), gaps, repeat(None)))  # any() only drains the map
         return values
 
@@ -437,8 +441,7 @@ class _Reader:
         bs, self.pos = BitSequence.from_bytes(self.buf[: self.end], self.pos)
         return bs
 
-    def u32_array(self) -> array:
-        count = self.u64()
+    def u32_array(self, count: int) -> array:
         if count > (self.end - self.pos) // 4:
             raise CorruptFileError("truncated array")
         pos = self._take(4 * count)
@@ -454,66 +457,51 @@ class _Reader:
 
 
 def _write_schema(w: _Writer, table: TypeTable):
-    """Per label: its name, upper limit, attribute names and dense flags."""
+    """Per label: its name, element count, dense flags and attribute names."""
     labels = table.label_list()
     w.u64(len(labels))
-    for label, upper in zip(labels, table.upper_limits):
+    for label, lower, upper in zip(labels, [0, *table.upper_limits], table.upper_limits):
         w.text(label)
-        w.u64(upper)
+        w.u64(upper - lower)
         atts = table.attrs_of(label)
-        w.u64(len(atts))
+        w.bits(BitSequence(dense for _, dense in atts))
         for name, _ in atts:
             w.text(name)
-        w.bits(BitSequence(dense for _, dense in atts))
 
 
 def _read_schema(r: _Reader) -> TypeTable:
-    count = r.u64()
-    labels, uppers, attrs = [], [], []
-    for _ in range(count):
+    labels, counts, attrs = [], [], []
+    for _ in range(r.u64()):
         labels.append(r.text())
-        uppers.append(r.u64())
-        names = [r.text() for _ in range(r.u64())]
-        flags = r.bits()
-        if flags.n != len(names):
-            raise CorruptFileError("dense flag bitmap does not match attribute count")
+        counts.append(r.u64())
+        flags = r.bits().to_bits()  # one per attribute
+        names = [r.text() for _ in flags]
         if len(set(names)) != len(names):
             raise CorruptFileError(f"label {labels[-1]!r} repeats an attribute name")
-        attrs.append(list(zip(names, flags.to_bits())))
+        attrs.append(list(zip(names, flags)))
     if not all(map(lt, labels, labels[1:])):
         raise CorruptFileError("schema labels do not ascend strictly")
-    prev = 0
-    for u in uppers:
-        if u < prev:
-            raise CorruptFileError("schema upper limits are not monotone")
-        prev = u
-    return TypeTable(labels, uppers, attrs)
+    return TypeTable(labels, list(accumulate(counts)), attrs)
 
 
 def _write_k2(w: _Writer, tree: K2Tree):
     w.u32(tree.k)
-    w.u64(tree.n)
-    w.u64(tree.n_logical)
     w.bits(tree.T)
     w.bits(tree.L)
 
 
-def _read_k2(r: _Reader) -> K2Tree:
+def _read_k2(r: _Reader, n_logical: int) -> K2Tree:
+    """A k²-tree over an n_logical×n_logical matrix, checked: |T| + |L| =
+    k²·(1 + ones(T)), T ends after its last level and no one lies outside
+    the matrix."""
     k = r.u32()
-    n = r.u64()
-    n_logical = r.u64()
     t = r.bits()
     l = r.bits()
     # the root block and one block per one of T, k² bits each
-    if k < 2 or n != _padded_side(n_logical, k) or t.n + l.n != k * k * (1 + t.ones):
+    if k < 2 or t.n + l.n != k * k * (1 + t.ones):
         raise CorruptFileError("malformed k2-tree payload")
-    return K2Tree(k, n, n_logical, t, l)
-
-
-def _check_k2(tree: K2Tree):
-    """Check that T ends after its last level and that no one lies outside
-    the logical side. Run once the caller has checked that side."""
-    k, n, t = tree.k, tree.n, tree.T
+    tree = K2Tree(k, n_logical, t, l)
+    n = tree.n
     # T holds one level per division of the side by k, down to k: the root's
     # block, then the children of each one in turn, which end at
     # k²(1 + rank1(p)) for the ones up to p
@@ -523,12 +511,13 @@ def _check_k2(tree: K2Tree):
         side //= k
     if end != t.n:
         raise CorruptFileError("k2-tree levels do not match its side")
-    m = tree.n_logical
+    m = n_logical
     # the padding rows, then the padding columns (0-based, inclusive)
     if m < n and (
         _rect_leaves(tree, m, n - 1, 0, n - 1) or _rect_leaves(tree, 0, n - 1, m, n - 1)
     ):
         raise CorruptFileError(f"k2-tree has a one outside its {m}x{m} matrix")
+    return tree
 
 
 def _sparse_order(schema: TypeTable):
@@ -543,14 +532,10 @@ def _sparse_order(schema: TypeTable):
 def _write_attrs(w: _Writer, schema: TypeTable, sparse: dict, dense: DenseAttributeMatrix):
     for key in _sparse_order(schema):
         w.texts(sparse[key].values)
-    w.u32(1 if dense.matrix is not None else 0)
+    for values in dense.col_values:
+        w.texts(values)
     if dense.matrix is not None:
         _write_k2(w, dense.matrix)
-    w.u64(len(dense.atts))
-    for i, att in enumerate(dense.atts):
-        w.text(att)
-        w.u64(dense.col_limits[i])
-        w.texts(dense.col_values[i])
 
 
 def _read_attrs(r: _Reader, schema: TypeTable):
@@ -563,30 +548,15 @@ def _read_attrs(r: _Reader, schema: TypeTable):
                 f"sparse attribute {label}.{att} does not match its label's id range"
             )
         sparse[(label, att)] = SparseAttribute(label, att, lo, values)
-    matrix = _read_k2(r) if r.u32() else None
-    atts, limits, col_values = [], [], []
-    for _ in range(r.u64()):
-        atts.append(r.text())
-        limits.append(r.u64())
-        col_values.append(r.texts())
-    # `DenseAttributeMatrix.build` sorts the names, which the schema declares dense
-    declared = {a for label in schema.labels for a, dense in schema.attrs_of(label) if dense}
-    if not all(map(lt, atts, atts[1:])) or not declared.issuperset(atts):
-        raise CorruptFileError("dense attribute names do not ascend or are not declared dense")
-    if limits != list(accumulate(map(len, col_values))):
-        raise CorruptFileError("dense column limits do not match value lists")
+    atts = schema.dense_names()
+    col_values = [r.texts() for _ in atts]
     for values in col_values:  # str order is UTF-8 byte order
         if not all(map(lt, values, values[1:])):
             raise CorruptFileError("dense column values are not in ascending order")
-    columns = limits[-1] if limits else 0
-    # the side `DenseAttributeMatrix.build` gives: rows and columns in range
-    if (matrix is None) != (columns == 0) or (
-        matrix is not None and matrix.n_logical != max(schema.count, columns)
-    ):
-        raise CorruptFileError("dense k2-tree does not match the elements and columns")
-    if matrix is not None:
-        _check_k2(matrix)
-    return sparse, DenseAttributeMatrix(matrix, atts, limits, col_values)
+    columns = sum(map(len, col_values))
+    # the tree and side `DenseAttributeMatrix.build` gives: rows and columns in range
+    matrix = _read_k2(r, max(schema.count, columns)) if columns else None
+    return sparse, DenseAttributeMatrix(matrix, atts, col_values)
 
 
 def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):
@@ -611,23 +581,20 @@ def _mask(size: int, positions, bit: int = 1) -> bytearray:
 
 def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
     """Read the relations of a store with `nodes` nodes and `edges` edges,
-    checking that the tree's logical side is the node count, that the multi
-    runs tile More, each ascending, and that the leaves hold every id in
-    1..edges exactly once."""
-    base = _read_k2(r)
-    if base.n_logical != nodes:
-        raise CorruptFileError(f"relations k2-tree side does not match the {nodes} nodes")
-    _check_k2(base)
+    checking that Multi has one bit per leaf, that the multi runs tile More,
+    each ascending, and that the leaves hold every id in 1..edges exactly
+    once. Last holds one entry per leaf and More ends with the last run."""
+    base = _read_k2(r, nodes)
     multi = r.bits()
-    last = r.u32_array()
-    more = r.u32_array()
-    if multi.n != base.L.ones or len(last) != multi.n:
-        raise CorruptFileError("relations auxiliary arrays do not match leaf count")
+    if multi.n != base.L.ones:
+        raise CorruptFileError("the Multi bitmap does not match the leaf count")
+    last = r.u32_array(multi.n)
     # one "0" or "1" byte per leaf, spelled out from the Multi words
     flags = "".join(f"{w:064b}"[::-1] for w in multi._words)[: multi.n].encode()
     bounds = array("I", [0, *compress(last, flags.translate(_IS_ONE))])  # 0, the run ends
-    if bounds[-1] != len(more) or not all(map(lt, bounds, bounds[1:])):
+    if not all(map(lt, bounds, bounds[1:])):
         raise CorruptFileError("multi-edge runs do not tile the More array")
+    more = r.u32_array(bounds[-1])
     singles = list(compress(last, flags.translate(_IS_ZERO)))
     for ids in (singles, more):
         if ids and (min(ids) < 1 or max(ids) > edges):

@@ -152,13 +152,14 @@ def _col_leaves(self, c: int, r1: int, r2: int) -> list[tuple[int, int]]:
 
 
 class K2Tree:
-    """Static k²-tree over an n×n boolean matrix."""
+    """Static k²-tree over an n_logical×n_logical boolean matrix, padded to
+    the side n, the next power of k."""
 
     __slots__ = ("k", "n", "n_logical", "T", "L")
 
-    def __init__(self, k: int, n: int, n_logical: int, t: BitSequence, l: BitSequence):
+    def __init__(self, k: int, n_logical: int, t: BitSequence, l: BitSequence):
         self.k = k
-        self.n = n
+        self.n = _padded_side(n_logical, k)
         self.n_logical = n_logical
         self.T = t
         self.L = l
@@ -213,7 +214,7 @@ class K2Tree:
             for r, c in block:
                 leaf[r % k * k + c % k] = 1
             l_bits.extend(leaf)
-        tree = cls(k, n, n_logical, BitSequence(t_bits), BitSequence(l_bits))
+        tree = cls(k, n_logical, BitSequence(t_bits), BitSequence(l_bits))
         return tree, [(r + 1, c + 1) for block in blocks for r, c in block]
 
     @property

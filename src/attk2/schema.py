@@ -111,6 +111,11 @@ class TypeTable:
             raise IndexError(f"id {elem_id} out of range 1..{self.count}")
         return self.labels[bisect_left(self.upper_limits, elem_id)]
 
+    def dense_names(self) -> list[str]:
+        """Every attribute name a label declares dense, sorted: the columns of
+        the kind's `DenseAttributeMatrix`, so the store file need not list them."""
+        return sorted({att for d in self._atts.values() for att, (_, dense) in d.items() if dense})
+
     attribute_info = _attribute_info
     attrs_of = _attrs_of
 

@@ -417,7 +417,7 @@ def test_criterion_6_space_properties(big_store):
     bits_per_edge = float(stats["relations_bits_per_edge"])
     assert bits_per_edge < 90.0
     assert 6.5 <= float(stats["relations_structure_bits_per_edge"]) <= 7.5
-    assert int(stats["total_bytes"]) == 2_782_817
+    assert int(stats["total_bytes"]) == 2_782_525
     elapsed = time.monotonic() - t0
     report(
         "criterion 6: space properties",

@@ -90,6 +90,16 @@ def test_build_rejects_schema_violation():
     assert "Position" in str(err.value)
 
 
+def test_an_attribute_given_twice_is_rejected_by_both_stores():
+    from attk2.queries import replay_bundle
+
+    bundle = running_bundle()
+    bundle.nodes[2][2].append(("Name", "P. Garcia"))  # node 3's sparse Name, again
+    for build in (build_graph, replay_bundle):
+        with pytest.raises(InputError, match="attribute 'Name' given twice"):
+            build(bundle)
+
+
 def test_build_rejects_an_attribute_of_two_kinds():
     from attk2.io import InputBundle
 

@@ -136,6 +136,102 @@ def test_save_is_deterministic(tmp_path, store):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_store_layout(tmp_path, store):
+    """The running example's store, decoded field by field with `struct` as
+    the `io` docstring lays out version 7."""
+    path = tmp_path / "layout.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        out = struct.unpack_from("<" + fmt, data, pos)
+        pos += struct.calcsize("<" + fmt)
+        return out
+
+    def u32():
+        return take("I")[0]
+
+    def u64():
+        return take("Q")[0]
+
+    def text():
+        return take(f"{u64()}s")[0].decode()
+
+    def bits():
+        n = u64()
+        return [w >> i & 1 for w in take(f"{(n + 63) // 64}Q") for i in range(64)][:n]
+
+    def table():
+        assert take("2I") == (0, 1)  # separator, absent marker
+        entries = text().split("\x00")
+        assert entries.pop() == ""
+        return entries
+
+    def schema():
+        labels = []
+        for _ in range(u64()):
+            label, count, flags = text(), u64(), bits()
+            labels.append((label, count, [(text(), dense) for dense in flags]))
+        return labels
+
+    def k2():
+        return u32(), bits(), bits()  # k, T, L
+
+    def attrs(sparse, dense):
+        return [table() for _ in range(sparse + dense)], k2()
+
+    assert take("8s2I") == (b"ATTK2TRE", 7, 6)
+    table_of = [take("IQQ") for _ in range(6)]
+    expect = {
+        io.SEC_NODE_SCHEMA: (schema, [
+            ("Paper", 2, [("Title", 0), ("Topic", 0)]),
+            ("Researcher", 3, [("Name", 0), ("Position", 1), ("University", 0)]),
+        ]),
+        io.SEC_EDGE_SCHEMA: (schema, [
+            ("Author", 3, []),
+            ("Colleague", 1, [("Projects", 1)]),
+            ("PhDDirector", 1, []),
+            ("Reviewer", 2, [("Expertise", 1)]),
+        ]),
+        # Title, Topic, Name and University, then Position's columns and the
+        # tree of 5 rows and 2 columns, padded to side 8
+        io.SEC_NODE_ATTRS: (lambda: attrs(4, 1), ([
+            ["Compressing graphs", "Graph databases"],
+            ["Graph compression", "Databases"],
+            ["P. García", "J. Boy", "S. Gómez"],
+            ["Madrid", "Coruña", "Coruña"],
+            ["Chair", "Lecturer"],
+        ], (2, [1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0, 0]))),
+        # the columns of Expertise and Projects, then their tree of 7 rows
+        io.SEC_EDGE_ATTRS: (lambda: attrs(0, 2), ([["High", "Medium"], ["5-10"]], (
+            2, [1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0], [0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0]
+        ))),
+        # the tree, Multi, Last (one u32 per leaf) and More (up to the end of
+        # leaf 3's run)
+        io.SEC_RELATIONS: (lambda: (k2(), bits(), take("6I"), take("2I")), (
+            (
+                2,
+                [1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0],
+                [1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0],
+            ),
+            [0, 0, 0, 1, 0, 0],
+            (1, 6, 7, 2, 2, 3),
+            (4, 5),
+        )),
+        io.SEC_ID_MAPS: (lambda: (table(), table()), (list("12345"), list("1234567"))),
+    }
+    assert [tag for tag, _, _ in table_of] == list(expect)
+    for tag, offset, length in table_of:
+        assert pos == offset
+        read, want = expect[tag]
+        assert read() == want, tag
+        assert u32() == zlib.crc32(data[offset:pos - 4])
+        assert pos == offset + length
+    assert pos == len(data)
+
+
 def test_loaded_store_answers_probes(tmp_path):
     data = generate(
         nodes=150, edges=600, node_types=3, edge_types=3, attrs=6, seed=5,
@@ -204,18 +300,48 @@ def test_generator_output_round_trips(tmp_path):
     build_graph(bundle)
 
 
-def test_export_rebuilds_the_same_store_file(tmp_path):
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_export_rebuilds_the_same_store_file(tmp_path, k):
+    # every k²-tree side is derived from its matrix size and k at load
     data = generate(
         nodes=300, edges=900, node_types=3, edge_types=4, attrs=6, seed=7,
         queries_per_kind=0,
     )
-    g = build_graph(data.bundle)
+    g = build_graph(data.bundle, k=k)
     original = tmp_path / "original.db"
     io.save_db(g, original)
     bundle = io.export_bundle(g, g.node_ids.external, g.edge_ids.external)
     rebuilt = tmp_path / "rebuilt.db"
     io.save_db(build_graph(bundle, k=g.k), rebuilt)
     assert rebuilt.read_bytes() == original.read_bytes()
+    io.save_db(io.load_db(original), rebuilt)
+    assert rebuilt.read_bytes() == original.read_bytes()
+
+
+def test_a_dense_attribute_no_element_takes_round_trips(tmp_path, capsys):
+    # Paper declares a dense Pages beside Researcher's Position, and no edge
+    # keeps a dense value, so the edge kind has dense columns and no tree
+    bundle = running_bundle()
+    bundle.node_schema[0][1].append(("Pages", True))
+    edges = [(ext, label, src, tgt, []) for ext, label, src, tgt, _ in bundle.edges]
+    store = build_graph(bundle._replace(edges=edges))
+    assert store.node_dense.atts == ["Pages", "Position"]
+    assert store.edge_dense.col_values == [[], []] and store.edge_dense.matrix is None
+    path = tmp_path / "u.db"
+    io.save_db(store, path)
+    first = path.read_bytes()
+    io.save_db(io.load_db(path), path)
+    assert path.read_bytes() == first
+    script = tmp_path / "script.tsv"
+    script.write_text(
+        "GetNodeAttribute\t1\tPages\nSelectNodes\tPaper\tPages\t12\n"
+        "GetNodeAttribute\t4\tPosition\nSelectNodes\tResearcher\tPosition\tChair\n"
+        "GetEdgeAttribute\t4\tProjects\nSelectEdges\tReviewer\tExpertise\tHigh\n",
+        encoding="utf-8",
+    )
+    for dynamic in ([], ["--dynamic"]):
+        assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 0
+        assert capsys.readouterr().out == "-\n-\nChair\n4\t5\n-\n-\n"
 
 
 def test_load_rejects_version_1(tmp_path, store, capsys):
@@ -223,14 +349,15 @@ def test_load_rejects_version_1(tmp_path, store, capsys):
     io.save_db(store, path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeTypes\n", encoding="utf-8")
-    for version in (1, 2, 3, 4, 5):
+    for version in (1, 2, 3, 4, 5, 6):
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, len(io.MAGIC), version)
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptFileError, match=f"unsupported version {version}"):
             io.load_db(path)
-        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
-        assert capsys.readouterr().err == f"error: unsupported version {version}\n"
+        for dynamic in ([], ["--dynamic"]):
+            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
+            assert capsys.readouterr().err == f"error: unsupported version {version}\n"
 
 
 def _patched(data: bytes, tag: int, at: int, raw: bytes) -> bytes:
@@ -292,23 +419,24 @@ def test_load_checks_sections_past_their_checksums(tmp_path, store):
     path = tmp_path / "s.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # the id-map section opens with the node table: u64 count 5, u32
-    # separator 0, u32 absent marker 1, u64 byte size 10, then each id
-    # followed by the separator
+    # the id-map section opens with the node table: u32 separator 0, u32
+    # absent marker 1, u64 byte size 10, then each id followed by the
+    # separator
     offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
     node_ids = b"1\x002\x003\x004\x005\x00"
-    assert struct.unpack_from("<Q2IQ10s", data, offset) == (5, 0, 1, 10, node_ids)
-    blob = 8 + 4 + 4 + 8
+    assert struct.unpack_from("<2IQ10s", data, offset) == (0, 1, 10, node_ids)
+    blob = 4 + 4 + 8
     # the node attributes open with Paper.Title's entry, its string table
-    # (u64 count 2, separator, marker, u64 byte size 35, blob); one value of
-    # 34 bytes fills as many
+    # (separator, marker, u64 byte size 35, blob); one value of 34 bytes
+    # fills as many
     attrs, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
-    title = struct.pack("<Q2IQ", 2, 0, 1, 35) + b"Compressing graphs\x00Graph databases\x00"
+    title = struct.pack("<2IQ", 0, 1, 35) + b"Compressing graphs\x00Graph databases\x00"
     assert data[attrs : attrs + len(title)] == title
-    one_value = struct.pack("<Q2IQ", 1, 0, 1, 35) + b"x" * 34 + b"\x00"
+    one_value = struct.pack("<2IQ", 0, 1, 35) + b"x" * 34 + b"\x00"
     assert len(one_value) == len(title)
     cases = {
-        "does not hold its count of entries": (io.SEC_ID_MAPS, 0, struct.pack("<Q", 6)),
+        # "4" and "5" joined, four ids for five nodes
+        "id maps do not match schema element counts": (io.SEC_ID_MAPS, blob + 7, b"4"),
         "not valid UTF-8": (io.SEC_ID_MAPS, blob, b"\xff"),
         "absent entry": (io.SEC_ID_MAPS, blob, b"\x01"),
         "Paper.Title does not match its label's id range": (io.SEC_NODE_ATTRS, 0, one_value),
@@ -341,7 +469,7 @@ def test_string_table_round_trip(values, sep, marker):
     w = io._Writer()
     w.texts(values)
     raw = w.getvalue()
-    assert struct.unpack_from("<Q2I", raw) == (len(values), sep, marker)
+    assert struct.unpack_from("<2I", raw) == (sep, marker)
     r = io._Reader(raw)
     back = r.texts(absent=True)
     r.done()
@@ -354,22 +482,22 @@ def test_string_table_round_trip(values, sep, marker):
 @pytest.mark.parametrize(
     "at, raw, message",
     [
-        (8, struct.pack("<I", 1), "terminators are not two distinct characters"),
-        (12, struct.pack("<I", 0x110000), "terminators are not two distinct characters"),
-        (8, struct.pack("<I", 0xD800), "terminators are not two distinct characters"),
-        (24 + 9, b"6", "does not hold its count of entries"),
-        (24 + 4, b"\x01", "absent entry in a list that must be complete"),
+        (0, struct.pack("<I", 1), "terminators are not two distinct characters"),
+        (4, struct.pack("<I", 0x110000), "terminators are not two distinct characters"),
+        (0, struct.pack("<I", 0xD800), "terminators are not two distinct characters"),
+        (16 + 9, b"6", "does not end in its separator"),
+        (16 + 4, b"\x01", "absent entry in a list that must be complete"),
     ],
     ids=["separator-is-marker", "past-0x10ffff", "surrogate", "no-final-terminator", "marker"],
 )
 def test_load_checks_the_string_table_terminators(tmp_path, store, capsys, at, raw, message):
-    # the node id map: u64 count 5, u32 separator 0, u32 absent marker 1,
-    # u64 byte size 10, then "1" to "5", each followed by the separator
+    # the node id map: u32 separator 0, u32 absent marker 1, u64 byte size
+    # 10, then "1" to "5", each followed by the separator
     path = tmp_path / "m.db"
     io.save_db(store, path)
     data = path.read_bytes()
     offset, _ = io.section_table(data)[io.SEC_ID_MAPS]
-    assert data[offset + 24 : offset + 34] == b"1\x002\x003\x004\x005\x00"
+    assert data[offset + 16 : offset + 26] == b"1\x002\x003\x004\x005\x00"
     path.write_bytes(_patched(data, io.SEC_ID_MAPS, at, raw))
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeType\t3\n", encoding="utf-8")
@@ -390,32 +518,15 @@ def test_load_rejects_a_dense_column_out_of_order(tmp_path, store):
     path = tmp_path / "d.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # Position's string table: u64 count 2, u32 separator 0, u32 absent
-    # marker 1, u64 blob size 15, blob; swap the two values
-    table = struct.pack("<Q2IQ", 2, 0, 1, 15) + b"Chair\x00Lecturer\x00"
+    # Position's string table: u32 separator 0, u32 absent marker 1, u64
+    # blob size 15, blob; swap the two values
+    table = struct.pack("<2IQ", 0, 1, 15) + b"Chair\x00Lecturer\x00"
     offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
     at = data.index(table, offset) - offset
-    swapped = struct.pack("<Q2IQ", 2, 0, 1, 15) + b"Lecturer\x00Chair\x00"
+    swapped = struct.pack("<2IQ", 0, 1, 15) + b"Lecturer\x00Chair\x00"
     path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, swapped))
     with pytest.raises(CorruptFileError, match="dense column values"):
         io.load_db(path)
-
-
-def test_load_rejects_a_k2_tree_of_the_wrong_side(tmp_path, store, capsys):
-    path = tmp_path / "k.db"
-    io.save_db(store, path)
-    data = path.read_bytes()
-    # the relations section opens with its k²-tree: u32 k, u64 n, u64 n_logical
-    offset, _ = io.section_table(data)[io.SEC_RELATIONS]
-    assert struct.unpack_from("<IQQ", data, offset) == (2, 8, 5)
-    script = tmp_path / "script.tsv"
-    script.write_text("Neighbors\tPaper\t3\n", encoding="utf-8")
-    for n in (4, 6, 16):
-        path.write_bytes(_patched(data, io.SEC_RELATIONS, 4, struct.pack("<Q", n)))
-        with pytest.raises(CorruptFileError, match="malformed k2-tree"):
-            io.load_db(path)
-        assert main(["query", "--db", str(path), "--script", str(script)]) == 1
-        assert capsys.readouterr() == ("", "error: malformed k2-tree payload\n")
 
 
 @pytest.mark.parametrize("side, cells", [(0, []), (5, []), (5, [(1, 2), (4, 5)]), (9, [(9, 1)])])
@@ -423,7 +534,7 @@ def test_k2_tree_bitmap_sizes_are_checked(side, cells):
     tree = K2Tree.build(side, cells)
     w = io._Writer()
     io._write_k2(w, tree)
-    back = io._read_k2(io._Reader(w.getvalue()))
+    back = io._read_k2(io._Reader(w.getvalue()), side)
     assert (back.n, back.T.to_bits(), back.L.to_bits()) == (
         tree.n, tree.T.to_bits(), tree.L.to_bits()
     )
@@ -433,9 +544,9 @@ def test_k2_tree_bitmap_sizes_are_checked(side, cells):
         if t == bits:
             continue
         w = io._Writer()
-        io._write_k2(w, K2Tree(tree.k, tree.n, tree.n_logical, BitSequence(t), tree.L))
+        io._write_k2(w, K2Tree(tree.k, side, BitSequence(t), tree.L))
         with pytest.raises(CorruptFileError, match="malformed k2-tree"):
-            io._read_k2(io._Reader(w.getvalue()))
+            io._read_k2(io._Reader(w.getvalue()), side)
 
 
 def _one_level_short(store):
@@ -447,25 +558,26 @@ def _one_level_short(store):
     base.L = BitSequence([1, 1, 1, 0, 1, 1, 1, 0])  # six leaves, as Multi has
 
 
-def _side_7(store):
-    """The relations rebuilt on side 7 with edge 1 at (3, 7)."""
-    store.relations = MultiEdgeK2Tree.build(7, [(1, 3, 7), *RELATION_TRIPLES[1:]])
+def _arity_3(store):
+    """The relations tree written with k = 3: its 16 + 12 bits are not the
+    9·(1 + 6) a k = 3 tree with six ones in T holds."""
+    store.relations.base.k = 3
 
 
 def _one_past_the_side(store):
-    """`_side_7`, then given back the logical side 5 of the five nodes."""
-    _side_7(store)
-    store.relations.base.n_logical = 5
+    """The relations rebuilt on side 7 with edge 1 at (3, 7), which load
+    reads on the side 5 of the five nodes: both pad to 8."""
+    store.relations = MultiEdgeK2Tree.build(7, [(1, 3, 7), *RELATION_TRIPLES[1:]])
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
+        (_arity_3, "malformed k2-tree payload"),
         (_one_level_short, "k2-tree levels do not match its side"),
         (_one_past_the_side, "k2-tree has a one outside its 5x5 matrix"),
-        (_side_7, "relations k2-tree side does not match the 5 nodes"),
     ],
-    ids=["levels", "padding", "side"],
+    ids=["bitmap-sizes", "levels", "padding"],
 )
 def test_load_checks_the_relations_tree_shape(tmp_path, store, capsys, corrupt, message):
     path = tmp_path / "p.db"
@@ -484,41 +596,29 @@ def test_load_checks_the_relations_tree_shape(tmp_path, store, capsys, corrupt, 
 
 
 def test_load_checks_the_dense_tree_side(tmp_path, store, capsys):
+    # the file holds no dense tree side: load reads a tree exactly when the
+    # kind's columns hold a value, on the larger of the element and column
+    # counts (here 5 nodes and Position's 2 columns, padded to 8)
     path = tmp_path / "t.db"
-    io.save_db(store, path)
-    data = path.read_bytes()
-    # the four sparse entries of the node attributes, then u32 1 and the
-    # node dense k²-tree: u32 k, u64 n, u64 n_logical (5 nodes, 2 columns)
-    offset, length = io.section_table(data)[io.SEC_NODE_ATTRS]
-    r = io._Reader(data, offset, offset + length - 4)
-    for _ in range(4):
-        r.texts(absent=True)
-    assert r.u32() == 1
-    at = r.pos
-    assert struct.unpack_from("<IQQ", data, at) == (2, 8, 5)
-    io._read_k2(r)
     script = tmp_path / "script.tsv"
     script.write_text(
         "GetNodeAttribute\t4\tPosition\nSelectNodes\tResearcher\tPosition\tChair\n",
         encoding="utf-8",
     )
+    io.save_db(store, path)
     assert main(["query", "--db", str(path), "--script", str(script)]) == 0
     assert capsys.readouterr().out == "Chair\n4\t5\n"
-    side = at + 4 - offset
-    no_tree = data[offset : at - 4] + struct.pack("<I", 0) + data[r.pos : r.end]
-    cases = {
-        "side 4, logical 3": _patched(data, io.SEC_NODE_ATTRS, side, struct.pack("<QQ", 4, 3)),
-        "side 16, logical 9": _patched(data, io.SEC_NODE_ATTRS, side, struct.pack("<QQ", 16, 9)),
-        "no tree": _with_payload(data, io.SEC_NODE_ATTRS, no_tree),
+    m = store.node_dense
+    nine = sorted(["Chair", "Lecturer", *"abcdefg"])
+    cases = {  # each written by save_db, so every checksum holds
+        "k2-tree levels do not match its side": (m.matrix, nine),  # side 9, padded to 16
+        "trailing bytes in section": (m.matrix, []),  # a tree, and no column
+        "truncated section": (None, m.col_values[0]),  # columns, and no tree
     }
-    message = "dense k2-tree does not match the elements and columns"
-    for case, bad in cases.items():
-        path.write_bytes(bad)
-        with pytest.raises(CorruptFileError, match=message):
-            io.load_db(path)
-        for dynamic in ([], ["--dynamic"]):
-            assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1, case
-            assert capsys.readouterr() == ("", f"error: {message}\n")
+    for message, (matrix, values) in cases.items():
+        store.node_dense = DenseAttributeMatrix(matrix, ["Position"], [values])
+        io.save_db(store, path)
+        _rejected_everywhere(capsys, path, script, message)
 
 
 # Position's columns are Chair (1) and Lecturer (2). Nodes 3 (Lecturer) and 4
@@ -561,29 +661,32 @@ def test_load_checks_the_relations_arrays(tmp_path, store, capsys):
     path = tmp_path / "r.db"
     io.save_db(store, path)
     data = path.read_bytes()
-    # Last (u64 count 6, then u32 values) and More (u64 count 2, u32 values)
-    # follow the Multi bitmap 000100: leaf 3 holds edges 4 and 5 from node 4
-    # to 5, so its Last entry is the end of its run in More; the others are
-    # single edge ids
-    arrays = struct.pack("<Q6IQ2I", 6, 1, 6, 7, 2, 2, 3, 2, 4, 5)
+    # the Multi bitmap 000100 (u64 bit count 6, one word), then Last (six u32
+    # values, one per leaf) and More (two u32 values, up to the end of the
+    # last run): leaf 3 holds edges 4 and 5 from node 4 to 5, so its Last
+    # entry is the end of its run in More; the others are single edge ids
+    arrays = struct.pack("<QQ6I2I", 6, 0b1000, 1, 6, 7, 2, 2, 3, 4, 5)
     offset, _ = io.section_table(data)[io.SEC_RELATIONS]
     at = data.index(arrays, offset) - offset
     script = tmp_path / "script.tsv"
     script.write_text("Related\tColleague\t4\nRelated\tAuthor\t3\n", encoding="utf-8")
     assert main(["query", "--db", str(path), "--script", str(script)]) == 0
     assert capsys.readouterr().out == "5\n1\n"
-    more = 8 + 6 * 4 + 8  # where More's values start
+    last = 16  # where Last's values start
+    more = last + 6 * 4  # where More's values start
+    u32 = struct.Struct("<I").pack
     cases = [
-        ("do not tile", 8 + 3 * 4, [99]),  # a run past the end of More
-        ("do not tile", 8 + 3 * 4, [1]),  # a run short of the end of More
-        ("outside 1..7", 8 + 0 * 4, [0]),  # a single edge id of 0
-        ("outside 1..7", 8 + 0 * 4, [99]),  # a single edge id past the edges
-        ("outside 1..7", more + 1 * 4, [8]),  # an id in More past the edges
-        ("each edge id 1..7 once", 8 + 0 * 4, [3]),  # edge 3 twice, edge 1 never
-        ("does not ascend", more, [5, 4]),  # the run of leaf 3 descends
+        ("Multi bitmap does not match the leaf count", 0, struct.pack("<Q", 5)),
+        ("do not tile", last + 3 * 4, u32(0)),  # an empty run
+        ("truncated array", last + 3 * 4, u32(99)),  # a run past the end of the section
+        ("each edge id 1..7 once", last + 3 * 4, u32(1)),  # More ends early, no edge 5
+        ("outside 1..7", last + 0 * 4, u32(0)),  # a single edge id of 0
+        ("outside 1..7", last + 0 * 4, u32(99)),  # a single edge id past the edges
+        ("outside 1..7", more + 1 * 4, u32(8)),  # an id in More past the edges
+        ("each edge id 1..7 once", last + 0 * 4, u32(3)),  # edge 3 twice, edge 1 never
+        ("does not ascend", more, struct.pack("<2I", 5, 4)),  # the run of leaf 3 descends
     ]
-    for message, field, values in cases:
-        raw = struct.pack(f"<{len(values)}I", *values)
+    for message, field, raw in cases:
         path.write_bytes(_patched(data, io.SEC_RELATIONS, at + field, raw))
         with pytest.raises(CorruptFileError, match=message):
             io.load_db(path)
@@ -601,31 +704,6 @@ def _rejected_everywhere(capsys, path, script, message):
         assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
-
-
-def test_load_checks_the_dense_attribute_names(tmp_path, store, capsys):
-    script = tmp_path / "script.tsv"
-    script.write_text(
-        "GetNodeAttribute\t3\tPosition\nSelectNodes\tResearcher\tPosition\tChair\n",
-        encoding="utf-8",
-    )
-    m = store.node_dense
-    path = tmp_path / "n.db"
-    cases = {  # each written by save_db, so every checksum holds
-        "renamed": DenseAttributeMatrix(m.matrix, ["Positiom"], m.col_limits, m.col_values),
-        "repeated": DenseAttributeMatrix(
-            m.matrix, ["Position", "Position"], m.col_limits * 2, [*m.col_values, []]
-        ),
-    }
-    for case, dense in cases.items():
-        store.node_dense = dense
-        io.save_db(store, path)
-        message = "dense attribute names do not ascend or are not declared dense"
-        _rejected_everywhere(capsys, path, script, message)
-    store.node_dense = m
-    io.save_db(store, path)
-    assert main(["query", "--db", str(path), "--script", str(script)]) == 0
-    assert capsys.readouterr().out == "Lecturer\n4\t5\n"
 
 
 def test_load_rejects_an_attribute_of_two_kinds(tmp_path, capsys):
