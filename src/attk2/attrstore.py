@@ -18,9 +18,11 @@ and keeps. An element with two ones in one attribute's block is corrupt:
 the row read that finds it, and the column derivation that lists it, raise
 `CorruptFileError`.
 
-The dynamic store keeps one growable `SparseAttribute` per (label,
-attribute), indexed by each element's rank within its label, and one dynamic
-k²-tree per dense attribute with columns appended in first-seen order.
+The dynamic store addresses both kinds alike: one value store per (label,
+attribute), indexed by each element's rank within its label. A sparse one is
+a growable `SparseAttribute`; a dense one is a `DynDenseAttribute`, a dynamic
+k²-tree whose rows are those ranks and whose columns are the attribute's
+values, appended in first-seen order.
 """
 
 from __future__ import annotations
@@ -191,48 +193,44 @@ class DenseAttributeMatrix:
 
 
 class DynDenseAttribute:
-    """One dynamic k²-tree per dense attribute; value columns append-only."""
+    """One dense attribute of one label in the dynamic store; it answers
+    `SparseAttribute`'s interface by rank within the label."""
 
-    __slots__ = ("att", "tree", "values", "_col_of")
+    __slots__ = ("tree", "values", "_col_of")
 
-    def __init__(self, att: str, k: int = 2):
-        self.att = att
+    def __init__(self, k: int = 2):
         self.tree = DynK2Tree(k=k)
         self.values: list[str] = []
         self._col_of: dict[str, int] = {}
 
-    def set(self, elem_id: int, value: str):
-        """Last-write-wins assignment; unseen values open a new final column."""
-        col = self._col_of.get(value)
-        if col is None:
-            self.values.append(value)
-            col = len(self.values)
-            self._col_of[value] = col
-        self.tree.set(elem_id, col)  # grows the side until the cell fits
-        for prev_col, _ in self.tree.row_leaves(elem_id, 1, self.tree.n):
-            if prev_col != col:
-                self.tree.clear(elem_id, prev_col)
+    def set(self, rank: int, value):
+        """Last-write-wins assignment (None clears); unseen values open a new
+        final column."""
+        tree = self.tree
+        col = None
+        if value is not None:
+            col = self._col_of.get(value)
+            if col is None:
+                self.values.append(value)
+                col = self._col_of[value] = len(self.values)
+        # read, then write: the write drops the prefix lists whose counts it
+        # changes, which a read after it would rebuild and leave resident
+        if rank <= tree.n:
+            for prev_col, _ in tree.row_leaves(rank, 1, tree.n):
+                if prev_col != col:
+                    tree.clear(rank, prev_col)
+        if col is not None:
+            tree.set(rank, col)  # grows the side until the cell fits
 
-    def clear(self, elem_id: int):
-        """Drop the element's value, if any."""
-        if elem_id > self.tree.n:
-            return
-        for col, _ in self.tree.row_leaves(elem_id, 1, self.tree.n):
-            self.tree.clear(elem_id, col)
-
-    def get(self, elem_id: int):
-        if elem_id > self.tree.n:
+    def get(self, rank: int):
+        if rank > self.tree.n:
             return None
-        hits = self.tree.row_leaves(elem_id, 1, self.tree.n)
-        if not hits:
-            return None
-        return self.values[hits[0][0] - 1]
+        hits = self.tree.row_leaves(rank, 1, self.tree.n)
+        return self.values[hits[0][0] - 1] if hits else None
 
-    def select(self, value: str, lo: int, hi: int) -> list[int]:
+    def select(self, value: str) -> list[int]:
+        """Ascending ranks whose value equals `value`."""
         col = self._col_of.get(value)
         if col is None:
             return []
-        hi = min(hi, self.tree.n)
-        if lo > hi:
-            return []
-        return [row for row, _ in self.tree.col_leaves(col, lo, hi)]
+        return [row for row, _ in self.tree.col_leaves(col, 1, self.tree.n)]

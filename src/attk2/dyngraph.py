@@ -2,7 +2,10 @@
 
 Ids are handed out in insertion order, so labels do not form contiguous
 ranges; type lookups go through the dynamic type table and label filters
-are rank/select or per-id checks instead of range scans. Removing an edge
+are rank/select or per-id checks instead of range scans. Attribute values,
+sparse and dense alike, live in one store per (label, attribute) indexed by
+each element's rank within its label, so a select maps ranks back to ids
+and never meets another label's elements. Removing an edge
 tombstones its id: the id is never reused, its type-table entry stays (so
 ranks of later edges are stable) and the id is reported not-found afterwards.
 """
@@ -31,8 +34,8 @@ class DynAttK2Graph:
         self.edge_schema = DynTypeTable()
         self.node_sparse: dict[tuple[str, str], SparseAttribute] = {}
         self.edge_sparse: dict[tuple[str, str], SparseAttribute] = {}
-        self.node_dense: dict[str, DynDenseAttribute] = {}
-        self.edge_dense: dict[str, DynDenseAttribute] = {}
+        self.node_dense: dict[tuple[str, str], DynDenseAttribute] = {}
+        self.edge_dense: dict[tuple[str, str], DynDenseAttribute] = {}
         self.relations = DynMultiEdge(k=k)
         self.edge_sources = array("I")  # edge id - 1 -> origin node
         self.edge_targets = array("I")  # edge id - 1 -> target node
@@ -63,12 +66,8 @@ class DynAttK2Graph:
         schema = self._schema(kind)
         schema.add_attribute(label, att, dense)
         self._dense_kind[att] = dense
-        if dense:
-            stores = self._dense(kind)
-            if att not in stores:
-                stores[att] = DynDenseAttribute(att, self.k)
-        else:
-            self._sparse(kind)[(label, att)] = SparseAttribute(label, att, 1, [])
+        store = DynDenseAttribute(self.k) if dense else SparseAttribute(label, att, 1, [])
+        self._stores(kind, dense)[(label, att)] = store
 
     # -- element mutations ----------------------------------------------------
 
@@ -147,29 +146,23 @@ class DynAttK2Graph:
     def get_attribute(self, kind: str, elem_id: int, att: str):
         schema = self._schema(kind)
         self._check_live(kind, elem_id)
-        label = schema.type_of(elem_id)
-        info = schema.attribute_info(label, att)
-        if info is None:
+        label, rank = schema.rank_in_label(elem_id)
+        store = self._values(kind, label, att)
+        if store is None:
             return UNDEFINED
-        if info[1]:
-            return self._dense(kind)[att].get(elem_id)
-        _, rank = schema.rank_in_label(elem_id)
-        store = self._sparse(kind)[(label, att)]
-        # values reach only as far as the last rank ever set
-        return store.get(rank) if rank <= len(store.values) else None
+        try:
+            return store.get(rank)
+        except IndexError:  # a sparse list reaches only as far as the last rank set
+            return None
 
     def select(self, kind: str, label: str, att: str, value: str):
-        schema = self._schema(kind)
-        info = schema.attribute_info(label, att)
-        if info is None:
+        store = self._values(kind, label, att)
+        if store is None:
             return UNDEFINED
-        if info[1]:
-            hits = self._dense(kind)[att].select(value, 1, schema.count)
-            return [i for i in hits if schema.type_of(i) == label]
         # ids of one label increase with their rank; a removed element has no
         # values left (`_clear_values`), so nothing here is a tombstone
-        ranks = self._sparse(kind)[(label, att)].select(value)
-        return [schema.select_in_label(label, r) for r in ranks]
+        schema = self._schema(kind)
+        return [schema.select_in_label(label, r) for r in store.select(value)]
 
     def neighbors(self, node_label: str, node_id: int) -> list[int]:
         self._check_node(node_id)
@@ -231,19 +224,22 @@ class DynAttK2Graph:
                 raise InputError(f"attribute {att!r} given twice")
             seen.add(att)
 
+    def _stores(self, kind: str, dense: bool) -> dict:
+        return self._dense(kind) if dense else self._sparse(kind)
+
+    def _values(self, kind: str, label: str, att: str):
+        """The value store of the label's attribute, indexed by rank in the
+        label; None when att is not in the label's schema."""
+        info = self._schema(kind).attribute_info(label, att)
+        return None if info is None else self._stores(kind, info[1])[(label, att)]
+
     def _store_value(self, kind: str, elem_id: int, label: str, att: str, value: str):
-        schema = self._schema(kind)
-        if schema.attribute_info(label, att)[1]:
-            self._dense(kind)[att].set(elem_id, value)
-        else:
-            self._sparse(kind)[(label, att)].set(schema.rank_in_label(elem_id)[1], value)
+        rank = self._schema(kind).rank_in_label(elem_id)[1]
+        self._values(kind, label, att).set(rank, value)
 
     def _clear_values(self, kind: str, elem_id: int):
         """Drop every attribute value of a removed element."""
         schema = self._schema(kind)
         label, rank = schema.rank_in_label(elem_id)
         for att, dense in schema.attrs_of(label):
-            if dense:
-                self._dense(kind)[att].clear(elem_id)
-            else:
-                self._sparse(kind)[(label, att)].set(rank, None)
+            self._stores(kind, dense)[(label, att)].set(rank, None)

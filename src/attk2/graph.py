@@ -17,6 +17,7 @@ sorts on the encoded bytes, because it is the independent reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -189,6 +190,14 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
     att = _mixed_kind(chain(bundle.node_schema, bundle.edge_schema))
     if att is not None:
         raise InputError(f"attribute {att!r} is declared both dense and sparse")
+
+    def table(schema, records):
+        counts = Counter(r[1] for r in records)
+        return TypeTable.build([(label, counts[label], list(atts)) for label, atts in schema])
+
+    # from the lists, as the dicts below keep only a repeated declaration's last
+    node_schema = table(bundle.node_schema, bundle.nodes)
+    edge_schema = table(bundle.edge_schema, bundle.edges)
     node_atts = {label: dict(atts) for label, atts in bundle.node_schema}
     edge_atts = {label: dict(atts) for label, atts in bundle.edge_schema}
 
@@ -223,13 +232,7 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
     check_attrs(NODE, node_atts, nodes, lambda r: r[2])
     check_attrs(EDGE, edge_atts, edges, lambda r: r[4])
 
-    def build_side(schema_atts, records, attr_of):
-        counts = {label: 0 for label in schema_atts}
-        for rec in records:
-            counts[rec[1]] += 1
-        table = TypeTable.build(
-            [(label, counts[label], list(atts.items())) for label, atts in schema_atts.items()]
-        )
+    def build_side(table, schema_atts, records, attr_of):
         sparse: dict[tuple[str, str], SparseAttribute] = {}
         dense_triples = []
         raw_sparse: dict[tuple[str, str], dict[int, str]] = {}
@@ -251,10 +254,10 @@ def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
                     label, att, lo, [values.get(i) for i in range(lo, hi + 1)]
                 )
         dense = DenseAttributeMatrix.build(len(records), dense_triples, k, table.dense_names())
-        return table, sparse, dense
+        return sparse, dense
 
-    node_schema, node_sparse, node_dense = build_side(node_atts, nodes, lambda r: r[2])
-    edge_schema, edge_sparse, edge_dense = build_side(edge_atts, edges, lambda r: r[4])
+    node_sparse, node_dense = build_side(node_schema, node_atts, nodes, lambda r: r[2])
+    edge_sparse, edge_dense = build_side(edge_schema, edge_atts, edges, lambda r: r[4])
 
     triples = []
     for i, (ext, _label, src, tgt, _atts) in enumerate(edges):

@@ -177,8 +177,9 @@ def replay_bundle(
     for ext, label, attrs in nodes:
         node_ids[ext] = g.add_node(label, attrs)
     edge_ids = {}
+    node = _internal(node_ids)
     for ext, label, src, tgt, attrs in edges:
-        edge_ids[ext] = g.add_edge(label, node_ids[src], node_ids[tgt], attrs)
+        edge_ids[ext] = g.add_edge(label, node(src), node(tgt), attrs)
     return DynamicRunner(g, node_ids, edge_ids)
 
 

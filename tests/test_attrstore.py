@@ -203,23 +203,23 @@ def test_sparse_set_replay_against_mapping():
 
 
 def test_dyn_dense_set_and_update():
-    d = DynDenseAttribute("a")
+    d = DynDenseAttribute()
     d.set(3, "x")
     assert d.get(3) == "x"
     d.set(3, "y")
     assert d.get(3) == "y"
-    assert d.select("x", 1, 10) == []
-    assert d.select("y", 1, 10) == [3]
+    assert d.select("x") == []
+    assert d.select("y") == [3]
     # unseen values append new columns at the end, in first-seen order
     d.set(1, "m")
     assert d.values == ["x", "y", "m"]
-    d.clear(3)
+    d.set(3, None)  # None clears, as in SparseAttribute.set
     assert d.get(3) is None
 
 
 def test_dyn_dense_replay_against_mapping():
     rng = random.Random(0xA8)
-    atts = {name: DynDenseAttribute(name) for name in ("p", "q", "r")}
+    atts = {name: DynDenseAttribute() for name in ("p", "q", "r")}
     ref = {}
     for _ in range(1000):
         name = rng.choice("pqr")
@@ -236,7 +236,7 @@ def test_dyn_dense_replay_against_mapping():
             want = sorted(
                 e for (e, a), v in ref.items() if a == name and v == value
             )
-            assert store.select(value, 1, 120) == want
+            assert store.select(value) == want
         # one value per element survives the updates
         for elem in range(1, 121):
             hits = store.tree.row_leaves(elem, 1, store.tree.n) if elem <= store.tree.n else []

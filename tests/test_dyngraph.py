@@ -103,7 +103,39 @@ def test_dense_values_append_columns_at_end():
     g.add_node("User", [("tier", "gold")])
     g.add_node("User", [("tier", "wood")])
     g.add_node("User", [("tier", "bronze")])
-    assert g.node_dense["tier"].values == ["gold", "wood", "bronze"]
+    assert g.node_dense[("User", "tier")].values == ["gold", "wood", "bronze"]
+
+
+def test_a_dense_attribute_of_two_labels_keeps_each_labels_values():
+    g = make_tiny()
+    g.add_node_type("Bot")
+    g.add_attribute(NODE, "Bot", "tier", True)
+    g.add_attribute(EDGE, "Follows", "tier", True)
+    users = [g.add_node("User", [("tier", "gold")]), g.add_node("User", [("tier", "wood")])]
+    bots = [g.add_node("Bot", [("tier", "gold")]), g.add_node("Bot", [("tier", "iron")])]
+    edges = [g.add_edge("Follows", users[0], bots[0], [("tier", "gold")])]
+    # one tree per (label, attribute), its columns in that label's first-seen order
+    assert g.node_dense[("User", "tier")].values == ["gold", "wood"]
+    assert g.node_dense[("Bot", "tier")].values == ["gold", "iron"]
+
+    def selects(kind, label):
+        return {v: g.select(kind, label, "tier", v) for v in ("gold", "wood", "iron")}
+
+    assert selects(NODE, "User") == {"gold": [1], "wood": [2], "iron": []}
+    assert selects(NODE, "Bot") == {"gold": [3], "wood": [], "iron": [4]}
+    assert selects(EDGE, "Follows") == {"gold": [1], "wood": [], "iron": []}
+    g.set_attribute(NODE, bots[1], "tier", "wood")
+    g.set_attribute(NODE, users[0], "tier", "iron")
+    assert selects(NODE, "User") == {"gold": [], "wood": [2], "iron": [1]}
+    assert selects(NODE, "Bot") == {"gold": [3], "wood": [4], "iron": []}
+    assert [g.get_attribute(NODE, i, "tier") for i in users + bots] == [
+        "iron", "wood", "gold", "wood"
+    ]
+    g.remove_edge(edges[0])
+    edges.append(g.add_edge("Follows", bots[1], users[1], [("tier", "wood")]))
+    assert selects(EDGE, "Follows") == {"gold": [], "wood": [2], "iron": []}
+    assert selects(NODE, "User") == {"gold": [], "wood": [2], "iron": [1]}
+    assert selects(NODE, "Bot") == {"gold": [3], "wood": [4], "iron": []}
 
 
 def test_remove_edge_tombstones():

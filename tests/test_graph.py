@@ -100,6 +100,33 @@ def test_an_attribute_given_twice_is_rejected_by_both_stores():
             build(bundle)
 
 
+@pytest.mark.parametrize("repeat", ["label", "attribute"])
+def test_a_repeated_schema_declaration_is_rejected_by_both_stores(repeat):
+    from attk2.queries import replay_bundle
+
+    bundle = running_bundle()
+    # the repeat agrees with the first declaration, so only the repeat is wrong
+    if repeat == "label":
+        bundle.node_schema.append(("Paper", [("Title", False), ("Topic", False)]))
+        match = "label 'Paper'"
+    else:
+        bundle.edge_schema[1][1].append(("Projects", True))
+        match = "'Colleague'"
+    for build in (build_graph, replay_bundle):
+        with pytest.raises(InputError, match=match):
+            build(bundle)
+
+
+def test_an_edge_to_an_unknown_node_is_rejected_by_both_stores():
+    from attk2.queries import replay_bundle
+
+    bundle = running_bundle()
+    bundle.edges[3] = ("4", "Colleague", "4", "nope", [("Projects", "5-10")])
+    for build in (build_graph, replay_bundle):
+        with pytest.raises(NotFoundError, match="^unknown external id 'nope'$"):
+            build(bundle)
+
+
 def test_build_rejects_an_attribute_of_two_kinds():
     from attk2.io import InputBundle
 
