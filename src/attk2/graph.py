@@ -18,13 +18,12 @@ sorts on the encoded bytes, because it is the independent reference.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .errors import InputError, NotFoundError
 from .multiedge import MultiEdgeK2Tree
-from .schema import TypeTable, _mixed_kind
+from .schema import TypeTable
 
 if TYPE_CHECKING:
     from .io import InputBundle
@@ -181,87 +180,112 @@ class AttK2Graph:
         return self.relations.related_targets(node_id, elo, ehi)
 
 
+_WHO = {"node_schema": "node label", "edge_schema": "edge label", "nodes": "node", "edges": "edge"}
+
+
+def check_bundle(bundle: "InputBundle", where=None) -> None:
+    """Raise `InputError` at the first entry of the bundle that repeats a
+    label within a kind or an attribute within a label, declares an attribute
+    name dense in one place and sparse in another, repeats an external id
+    within a kind, or is an element whose label its kind does not declare,
+    whose endpoint is not a node, or whose attribute is outside its label's
+    schema or given twice.
+
+    `where(part, i)` names the i-th entry of a part (an `InputBundle` field)
+    at the head of the message; by default it is the label or the external id.
+    """
+    if where is None:
+        def where(part, i):
+            return f"{_WHO[part]} {getattr(bundle, part)[i][0]!r}"
+
+    def fail(part, i, what):
+        raise InputError(f"{where(part, i)}: {what}")
+
+    kinds: dict[str, bool] = {}
+    declared = {}
+    for part, records in (("node_schema", "nodes"), ("edge_schema", "edges")):
+        atts_of = declared[records] = {}
+        for i, (label, atts) in enumerate(getattr(bundle, part)):
+            if label in atts_of:
+                fail(part, i, f"duplicate label {label!r}")
+            names = atts_of[label] = set()
+            for att, dense in atts:
+                if att in names:
+                    fail(part, i, f"duplicate attribute {att!r}")
+                if kinds.setdefault(att, bool(dense)) != bool(dense):
+                    fail(part, i, f"attribute {att!r} is declared both dense and sparse")
+                names.add(att)
+
+    nodes: set[str] = set()
+    for part, ids in (("nodes", nodes), ("edges", set())):
+        atts_of = declared[part]
+        for i, rec in enumerate(getattr(bundle, part)):
+            ext, label = rec[0], rec[1]
+            if ext in ids:
+                fail(part, i, f"duplicate {_WHO[part]} id {ext!r}")
+            ids.add(ext)
+            names = atts_of.get(label)
+            if names is None:
+                fail(part, i, f"undeclared label {label!r}")
+            for end, node in zip(("source", "target"), rec[2:-1]):  # edges only
+                if node not in nodes:
+                    fail(part, i, f"unknown {end} node {node!r}")
+            given = set()
+            for att, _ in rec[-1]:
+                if att not in names:
+                    fail(part, i, f"attribute {att!r} is not in the schema of label {label!r}")
+                if att in given:
+                    fail(part, i, f"attribute {att!r} given twice")
+                given.add(att)
+
+
 def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
-    """Assemble the static store from a validated input bundle.
+    """Check an input bundle (`check_bundle`) and assemble the static store.
 
     Internal ids are assigned by sorting elements on (label, external id),
     both compared bytewise, so every label covers a contiguous range.
     """
-    att = _mixed_kind(chain(bundle.node_schema, bundle.edge_schema))
-    if att is not None:
-        raise InputError(f"attribute {att!r} is declared both dense and sparse")
+    check_bundle(bundle)
 
     def table(schema, records):
         counts = Counter(r[1] for r in records)
         return TypeTable.build([(label, counts[label], list(atts)) for label, atts in schema])
 
-    # from the lists, as the dicts below keep only a repeated declaration's last
     node_schema = table(bundle.node_schema, bundle.nodes)
     edge_schema = table(bundle.edge_schema, bundle.edges)
-    node_atts = {label: dict(atts) for label, atts in bundle.node_schema}
-    edge_atts = {label: dict(atts) for label, atts in bundle.edge_schema}
 
-    def order(records, label_of, ext_of):
-        return sorted(records, key=lambda r: (label_of(r), ext_of(r)))
-
-    nodes = order(bundle.nodes, lambda r: r[1], lambda r: r[0])
-    edges = order(bundle.edges, lambda r: r[1], lambda r: r[0])
-    for kind, records in ((NODE, nodes), (EDGE, edges)):
-        if len({r[0] for r in records}) != len(records):
-            raise InputError(f"duplicate external {kind} id")
+    nodes = sorted(bundle.nodes, key=lambda r: (r[1], r[0]))
+    edges = sorted(bundle.edges, key=lambda r: (r[1], r[0]))
     node_ids = IdMap([r[0] for r in nodes])
     edge_ids = IdMap([r[0] for r in edges])
 
-    def check_attrs(kind, schema_atts, records, attr_of):
-        for rec in records:
-            ext, label = rec[0], rec[1]
-            declared = schema_atts.get(label)
-            if declared is None:
-                raise InputError(f"{kind} {ext!r} has undeclared label {label!r}")
-            seen = set()
-            for att, _ in attr_of(rec):
-                if att not in declared:
-                    raise InputError(
-                        f"{kind} {ext!r}: attribute {att!r} is not in the schema "
-                        f"of label {label!r}"
-                    )
-                if att in seen:
-                    raise InputError(f"{kind} {ext!r}: attribute {att!r} given twice")
-                seen.add(att)
-
-    check_attrs(NODE, node_atts, nodes, lambda r: r[2])
-    check_attrs(EDGE, edge_atts, edges, lambda r: r[4])
-
-    def build_side(table, schema_atts, records, attr_of):
-        sparse: dict[tuple[str, str], SparseAttribute] = {}
+    def build_side(table, records):
+        dense_names = table.dense_names()
+        dense = set(dense_names)  # a name has one kind across labels
         dense_triples = []
         raw_sparse: dict[tuple[str, str], dict[int, str]] = {}
-        for i, rec in enumerate(records):
-            elem_id = i + 1
-            label = rec[1]
-            for att, value in attr_of(rec):
-                if schema_atts[label][att]:
+        for elem_id, rec in enumerate(records, 1):
+            for att, value in rec[-1]:
+                if att in dense:
                     dense_triples.append((elem_id, att, value))
                 else:
-                    raw_sparse.setdefault((label, att), {})[elem_id] = value
+                    raw_sparse.setdefault((rec[1], att), {})[elem_id] = value
+        sparse: dict[tuple[str, str], SparseAttribute] = {}
         for label in table.labels:
             lo, hi = table.ids_of(label)
             for att, is_dense in table.attrs_of(label):
-                if is_dense:
-                    continue
-                values = raw_sparse.get((label, att), {})
-                sparse[(label, att)] = SparseAttribute(
-                    label, att, lo, [values.get(i) for i in range(lo, hi + 1)]
-                )
-        dense = DenseAttributeMatrix.build(len(records), dense_triples, k, table.dense_names())
-        return sparse, dense
+                if not is_dense:
+                    values = raw_sparse.get((label, att), {})
+                    sparse[(label, att)] = SparseAttribute(
+                        label, att, lo, [values.get(i) for i in range(lo, hi + 1)]
+                    )
+        return sparse, DenseAttributeMatrix.build(len(records), dense_triples, k, dense_names)
 
-    node_sparse, node_dense = build_side(node_schema, node_atts, nodes, lambda r: r[2])
-    edge_sparse, edge_dense = build_side(edge_schema, edge_atts, edges, lambda r: r[4])
+    node_sparse, node_dense = build_side(node_schema, nodes)
+    edge_sparse, edge_dense = build_side(edge_schema, edges)
 
-    triples = []
-    for i, (ext, _label, src, tgt, _atts) in enumerate(edges):
-        triples.append((i + 1, node_ids.internal(src), node_ids.internal(tgt)))
+    node = node_ids.to_internal
+    triples = [(i, node[src], node[tgt]) for i, (_, _, src, tgt, _) in enumerate(edges, 1)]
     relations = MultiEdgeK2Tree.build(len(nodes), triples, k)
 
     return AttK2Graph(

@@ -9,6 +9,10 @@ Input format (tab-separated UTF-8, one record per line):
 Tabs, backslashes, '=' and newlines inside any field are backslash-escaped
 (\\t, \\\\, \\=, \\n), so a raw split on tab characters is always safe.
 
+`load_input` parses these (UTF-8, field counts, escapes, att:kind, att=value)
+and leaves the bundle rules to `graph.check_bundle`, as `build_graph` and
+`queries.replay_bundle` do; every error it raises names file:line.
+
 Binary format, version 7: magic "ATTK2TRE", u32 LE version, then a section
 table (u32 count; per section u32 tag, u64 offset, u64 length) followed by the
 section payloads. Every payload ends in a u32 CRC-32 (zlib) of the bytes
@@ -78,7 +82,7 @@ from typing import NamedTuple
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .bits import BitSequence
 from .errors import CorruptFileError, InputError
-from .graph import EDGE, NODE, AttK2Graph, IdMap
+from .graph import EDGE, NODE, AttK2Graph, IdMap, check_bundle
 from .k2 import K2Tree, _rect_leaves
 from .multiedge import MultiEdgeK2Tree
 from .schema import TypeTable, _mixed_kind
@@ -104,7 +108,7 @@ _SECTION_ORDER = (
 
 
 class InputBundle(NamedTuple):
-    """Parsed and validated text input.
+    """An attributed graph as plain lists; `graph.check_bundle` states its rules.
 
     node_schema/edge_schema: [(label, [(att, dense flag)...])...]
     nodes: [(ext_id, label, [(att, value)...])...]
@@ -164,51 +168,28 @@ def _split_assignment(field: str) -> tuple[str, str]:
 
 
 def load_input(directory) -> InputBundle:
-    """Read and validate schema.tsv / nodes.tsv / edges.tsv from a directory."""
+    """Read schema.tsv / nodes.tsv / edges.tsv from a directory and check the
+    bundle they hold (`graph.check_bundle`); every error names file:line."""
     directory = Path(directory)
-    node_schema, edge_schema = _load_schema(directory / "schema.tsv")
-    node_atts = {label: dict(atts) for label, atts in node_schema}
-    edge_atts = {label: dict(atts) for label, atts in edge_schema}
-
-    nodes = []
-    node_exts = set()
-    for lineno, fields in _read_tsv(directory / "nodes.tsv"):
-        if len(fields) < 2:
-            raise InputError(f"nodes.tsv:{lineno}: expected ext_id and label")
-        ext = unescape_field(fields[0])
-        label = unescape_field(fields[1])
-        if ext in node_exts:
-            raise InputError(f"nodes.tsv:{lineno}: duplicate node id {ext!r}")
-        node_exts.add(ext)
-        if label not in node_atts:
-            raise InputError(f"nodes.tsv:{lineno}: undeclared label {label!r}")
-        attrs = _parse_attrs(fields[2:], node_atts[label], "nodes.tsv", lineno, label)
-        nodes.append((ext, label, attrs))
-
-    edges = []
-    edge_exts = set()
-    for lineno, fields in _read_tsv(directory / "edges.tsv"):
-        if len(fields) < 4:
-            raise InputError(
-                f"edges.tsv:{lineno}: expected ext_id, label, source and target"
-            )
-        ext = unescape_field(fields[0])
-        label = unescape_field(fields[1])
-        src = unescape_field(fields[2])
-        tgt = unescape_field(fields[3])
-        if ext in edge_exts:
-            raise InputError(f"edges.tsv:{lineno}: duplicate edge id {ext!r}")
-        edge_exts.add(ext)
-        if label not in edge_atts:
-            raise InputError(f"edges.tsv:{lineno}: undeclared label {label!r}")
-        if src not in node_exts:
-            raise InputError(f"edges.tsv:{lineno}: unknown source node {src!r}")
-        if tgt not in node_exts:
-            raise InputError(f"edges.tsv:{lineno}: unknown target node {tgt!r}")
-        attrs = _parse_attrs(fields[4:], edge_atts[label], "edges.tsv", lineno, label)
-        edges.append((ext, label, src, tgt, attrs))
-
-    return InputBundle(node_schema, edge_schema, nodes, edges)
+    parts = {part: [] for part in InputBundle._fields}
+    lines = {part: [] for part in InputBundle._fields}
+    files = {}
+    for name, parse in (
+        ("schema.tsv", _schema_record),
+        ("nodes.tsv", lambda f: ("nodes", _element(f, 2, "ext_id and label"))),
+        ("edges.tsv", lambda f: ("edges", _element(f, 4, "ext_id, label, source and target"))),
+    ):
+        for lineno, fields in _read_tsv(directory / name):
+            try:
+                part, record = parse(fields)
+            except InputError as exc:
+                raise InputError(f"{name}:{lineno}: {exc}") from None
+            parts[part].append(record)
+            lines[part].append(lineno)
+            files[part] = name
+    bundle = InputBundle(**parts)
+    check_bundle(bundle, lambda part, i: f"{files[part]}:{lines[part][i]}")
+    return bundle
 
 
 def _read_tsv(path: Path):
@@ -227,51 +208,24 @@ def _read_tsv(path: Path):
             yield lineno, line.split("\t")
 
 
-def _load_schema(path: Path):
-    node_schema = []
-    edge_schema = []
-    seen = {"NODE": set(), "EDGE": set()}
-    for lineno, fields in _read_tsv(path):
-        if len(fields) < 2 or fields[0] not in ("NODE", "EDGE"):
-            raise InputError(f"schema.tsv:{lineno}: expected NODE or EDGE record")
-        side = fields[0]
-        label = unescape_field(fields[1])
-        if label in seen[side]:
-            raise InputError(f"schema.tsv:{lineno}: duplicate label {label!r}")
-        seen[side].add(label)
-        atts = []
-        for field in fields[2:]:
-            if len(field) < 3 or field[-2] != ":" or field[-1] not in "sd":
-                raise InputError(
-                    f"schema.tsv:{lineno}: expected att:s or att:d, got {field!r}"
-                )
-            att = unescape_field(field[:-2])
-            dense = field[-1] == "d"
-            if any(a == att for a, _ in atts):
-                raise InputError(f"schema.tsv:{lineno}: duplicate attribute {att!r}")
-            atts.append((att, dense))
-        (node_schema if side == "NODE" else edge_schema).append((label, atts))
-    att = _mixed_kind(chain(node_schema, edge_schema))
-    if att is not None:
-        raise InputError(f"schema.tsv: attribute {att!r} is declared both dense and sparse")
-    return node_schema, edge_schema
+def _schema_record(fields):
+    """(part, (label, [(att, dense flag)...])) of a schema.tsv line."""
+    if len(fields) < 2 or fields[0] not in ("NODE", "EDGE"):
+        raise InputError("expected NODE or EDGE record")
+    atts = []
+    for field in fields[2:]:
+        if len(field) < 3 or field[-2] != ":" or field[-1] not in "sd":
+            raise InputError(f"expected att:s or att:d, got {field!r}")
+        atts.append((unescape_field(field[:-2]), field[-1] == "d"))
+    part = "node_schema" if fields[0] == "NODE" else "edge_schema"
+    return part, (unescape_field(fields[1]), atts)
 
 
-def _parse_attrs(fields, declared, filename, lineno, label):
-    attrs = []
-    seen = set()
-    for field in fields:
-        att, value = _split_assignment(field)
-        if att not in declared:
-            raise InputError(
-                f"{filename}:{lineno}: attribute {att!r} is not in the schema "
-                f"of label {label!r}"
-            )
-        if att in seen:
-            raise InputError(f"{filename}:{lineno}: attribute {att!r} given twice")
-        seen.add(att)
-        attrs.append((att, value))
-    return attrs
+def _element(fields, n: int, leading: str) -> tuple:
+    """A node (n = 2) or edge (n = 4) record: n leading fields, then att=value."""
+    if len(fields) < n:
+        raise InputError(f"expected {leading}")
+    return (*map(unescape_field, fields[:n]), list(map(_split_assignment, fields[n:])))
 
 
 def write_bundle(directory, bundle: InputBundle):

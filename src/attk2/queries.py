@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InputError, NotFoundError
-from .graph import EDGE, NODE, UNDEFINED, AttK2Graph
+from .graph import EDGE, NODE, UNDEFINED, AttK2Graph, check_bundle
 from .io import InputBundle, unescape_field
 
 if TYPE_CHECKING:
@@ -74,7 +74,10 @@ def parse_script(path) -> list[list[str]]:
         line = line.rstrip("\n")
         if not line:
             continue
-        fields = [unescape_field(f) for f in line.split("\t")]
+        try:
+            fields = [unescape_field(f) for f in line.split("\t")]
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         op = fields[0]
         entry = _OPS.get(op)
         if entry is None:
@@ -144,7 +147,8 @@ class DynamicRunner:
 def replay_bundle(
     bundle: InputBundle, k: int = 2, node_order=None, edge_order=None
 ) -> DynamicRunner:
-    """Build a dynamic store by inserting a bundle's content element by element.
+    """Check a bundle (`graph.check_bundle`) and build a dynamic store by
+    inserting its content element by element.
 
     The default order sorts elements by (label, external id), which makes the
     dynamic ids coincide with the static store's internal ids; explicit orders
@@ -152,6 +156,7 @@ def replay_bundle(
     """
     from .dyngraph import DynAttK2Graph  # off the import path of static queries
 
+    check_bundle(bundle)
     g = DynAttK2Graph(k=k)
     for label, atts in bundle.node_schema:
         g.add_node_type(label)
@@ -162,24 +167,17 @@ def replay_bundle(
         for att, dense in atts:
             g.add_attribute(EDGE, label, att, dense)
 
-    nodes = list(bundle.nodes)
-    edges = list(bundle.edges)
-    if node_order is None:
-        nodes.sort(key=lambda r: (r[1], r[0]))
-    else:
-        nodes = [nodes[i] for i in node_order]
-    if edge_order is None:
-        edges.sort(key=lambda r: (r[1], r[0]))
-    else:
-        edges = [edges[i] for i in edge_order]
+    def ordered(records, order):
+        if order is None:
+            return sorted(records, key=lambda r: (r[1], r[0]))
+        return [records[i] for i in order]
 
     node_ids = {}
-    for ext, label, attrs in nodes:
+    for ext, label, attrs in ordered(bundle.nodes, node_order):
         node_ids[ext] = g.add_node(label, attrs)
     edge_ids = {}
-    node = _internal(node_ids)
-    for ext, label, src, tgt, attrs in edges:
-        edge_ids[ext] = g.add_edge(label, node(src), node(tgt), attrs)
+    for ext, label, src, tgt, attrs in ordered(bundle.edges, edge_order):
+        edge_ids[ext] = g.add_edge(label, node_ids[src], node_ids[tgt], attrs)
     return DynamicRunner(g, node_ids, edge_ids)
 
 

@@ -76,16 +76,8 @@ class TypeTable:
     def build(
         cls, entries: list[tuple[str, int, list[tuple[str, bool]]]]
     ) -> "TypeTable":
-        """entries: (label, element count, [(attribute, dense flag)...])."""
-        seen = set()
-        for label, count, attr_list in entries:
-            if label in seen:
-                raise InputError(f"duplicate label {label!r}")
-            if count < 0:
-                raise InputError(f"label {label!r} has negative element count")
-            if len({name for name, _ in attr_list}) != len(attr_list):
-                raise InputError(f"label {label!r} declares a duplicate attribute")
-            seen.add(label)
+        """entries: (label, element count, [(attribute, dense flag)...]), the
+        labels distinct and no label repeating an attribute (`check_bundle`)."""
         ordered = sorted(entries, key=lambda e: e[0])
         uppers = list(accumulate(count for _, count, _ in ordered))
         return cls([e[0] for e in ordered], uppers, [e[2] for e in ordered])

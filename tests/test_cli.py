@@ -163,6 +163,15 @@ def test_query_rejects_bad_script(tmp_path, fixture_dir, capsys):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_query_script_escape_error_names_its_line(tmp_path, fixture_dir, capsys):
+    db = tmp_path / "ex.db"
+    run(capsys, "build", "--input", str(fixture_dir), "--output", str(db))
+    script = _script(tmp_path, ["GetNodeType\t4", "GetNodeType\tn\\q"])
+    code, out, err = run(capsys, "query", "--db", str(db), "--script", str(script))
+    assert code == 1 and out == ""
+    assert err == f"error: {script}:2: bad escape in field 'n\\\\q'\n"
+
+
 @pytest.mark.parametrize(
     "line",
     ["GetNodeType\tnope", "GetEdgeAttribute\tnope\tExpertise", "Neighbors\tPaper\tnope"],

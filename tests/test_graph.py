@@ -82,63 +82,102 @@ def test_relations_layer_shape(store):
     assert store.relations.more.tolist() == [4, 5]
 
 
-def test_build_rejects_schema_violation():
+# One row per bundle rule (`check_bundle`): the fault, then the entry it is
+# reported at by default and in the text written by `write_bundle`, then the
+# message that follows.
+BUNDLE_FAULTS = [
+    pytest.param(
+        lambda b: b.node_schema.append(("Paper", [("Title", False), ("Topic", False)])),
+        "node label 'Paper'", "schema.tsv:3", "duplicate label 'Paper'",
+        id="repeated-label",
+    ),
+    pytest.param(
+        lambda b: b.edge_schema[1][1].append(("Projects", True)),
+        "edge label 'Colleague'", "schema.tsv:4", "duplicate attribute 'Projects'",
+        id="repeated-attribute",
+    ),
+    pytest.param(  # sparse under Paper, then dense under Researcher
+        lambda b: b.node_schema[0][1].append(("Position", False)),
+        "node label 'Researcher'", "schema.tsv:2",
+        "attribute 'Position' is declared both dense and sparse",
+        id="sparse-then-dense",
+    ),
+    pytest.param(  # dense under Researcher, then sparse under an edge label
+        lambda b: b.edge_schema[0][1].append(("Position", False)),
+        "edge label 'Author'", "schema.tsv:3",
+        "attribute 'Position' is declared both dense and sparse",
+        id="dense-then-sparse",
+    ),
+    pytest.param(
+        lambda b: b.nodes.append(("1", "Paper", [])),
+        "node '1'", "nodes.tsv:6", "duplicate node id '1'",
+        id="repeated-node-id",
+    ),
+    pytest.param(
+        lambda b: b.edges.append(("7", "Author", "3", "1", [])),
+        "edge '7'", "edges.tsv:8", "duplicate edge id '7'",
+        id="repeated-edge-id",
+    ),
+    pytest.param(
+        lambda b: b.nodes.append(("9", "Ghost", [])),
+        "node '9'", "nodes.tsv:6", "undeclared label 'Ghost'",
+        id="undeclared-label",
+    ),
+    pytest.param(  # a node label is not an edge label
+        lambda b: b.edges.append(("8", "Paper", "3", "1", [])),
+        "edge '8'", "edges.tsv:8", "undeclared label 'Paper'",
+        id="undeclared-edge-label",
+    ),
+    pytest.param(
+        lambda b: b.nodes[0][2].append(("Position", "Chair")),
+        "node '1'", "nodes.tsv:1", "attribute 'Position' is not in the schema of label 'Paper'",
+        id="attribute-outside-the-schema",
+    ),
+    pytest.param(
+        lambda b: b.nodes[2][2].append(("Name", "P. Garcia")),
+        "node '3'", "nodes.tsv:3", "attribute 'Name' given twice",
+        id="attribute-given-twice",
+    ),
+    pytest.param(
+        lambda b: b.edges.__setitem__(0, ("1", "Author", "nope", "1", [])),
+        "edge '1'", "edges.tsv:1", "unknown source node 'nope'",
+        id="endpoint-not-a-node",
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, entry, line, message", BUNDLE_FAULTS)
+def test_every_entry_point_rejects_a_bundle_fault_alike(tmp_path, fault, entry, line, message):
+    from attk2.io import load_input, write_bundle
+    from attk2.queries import replay_bundle
+
     bundle = running_bundle()
-    bundle.nodes[0][2].append(("Position", "Chair"))  # Position not in Paper schema
+    fault(bundle)
+    for build in (build_graph, replay_bundle):
+        with pytest.raises(InputError) as err:
+            build(bundle)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"{entry}: {message}"
+    write_bundle(tmp_path, bundle)
     with pytest.raises(InputError) as err:
-        build_graph(bundle)
-    assert "Position" in str(err.value)
+        load_input(tmp_path)
+    assert type(err.value) is InputError
+    assert str(err.value) == f"{line}: {message}"
 
 
-def test_an_attribute_given_twice_is_rejected_by_both_stores():
-    from attk2.queries import replay_bundle
-
-    bundle = running_bundle()
-    bundle.nodes[2][2].append(("Name", "P. Garcia"))  # node 3's sparse Name, again
-    for build in (build_graph, replay_bundle):
-        with pytest.raises(InputError, match="attribute 'Name' given twice"):
-            build(bundle)
-
-
-@pytest.mark.parametrize("repeat", ["label", "attribute"])
-def test_a_repeated_schema_declaration_is_rejected_by_both_stores(repeat):
-    from attk2.queries import replay_bundle
-
-    bundle = running_bundle()
-    # the repeat agrees with the first declaration, so only the repeat is wrong
-    if repeat == "label":
-        bundle.node_schema.append(("Paper", [("Title", False), ("Topic", False)]))
-        match = "label 'Paper'"
-    else:
-        bundle.edge_schema[1][1].append(("Projects", True))
-        match = "'Colleague'"
-    for build in (build_graph, replay_bundle):
-        with pytest.raises(InputError, match=match):
-            build(bundle)
-
-
-def test_an_edge_to_an_unknown_node_is_rejected_by_both_stores():
+def test_an_edge_to_an_unknown_node_is_rejected_by_both_stores(tmp_path, capsys):
+    from attk2.cli import main
+    from attk2.io import write_bundle
     from attk2.queries import replay_bundle
 
     bundle = running_bundle()
     bundle.edges[3] = ("4", "Colleague", "4", "nope", [("Projects", "5-10")])
     for build in (build_graph, replay_bundle):
-        with pytest.raises(NotFoundError, match="^unknown external id 'nope'$"):
+        with pytest.raises(InputError, match="^edge '4': unknown target node 'nope'$"):
             build(bundle)
-
-
-def test_build_rejects_an_attribute_of_two_kinds():
-    from attk2.io import InputBundle
-
-    # x dense under node label A and sparse under node label B, then sparse
-    # under an edge label
-    nodes = [("1", "A", [("x", "p")]), ("2", "B", [("x", "q")])]
-    for node_b, edges in (([("x", False)], []), ([], [("x", False)])):
-        bundle = InputBundle(
-            [("A", [("x", True)]), ("B", node_b)], [("R", edges)], nodes[: 1 + bool(node_b)], []
-        )
-        with pytest.raises(InputError, match="'x' is declared both dense and sparse"):
-            build_graph(bundle)
+    write_bundle(tmp_path, bundle)
+    assert main(["build", "--input", str(tmp_path), "--output", str(tmp_path / "x.db")]) == 1
+    assert capsys.readouterr().err == "error: edges.tsv:4: unknown target node 'nope'\n"
 
 
 def test_build_minimal_empty_graph():

@@ -111,6 +111,25 @@ def test_load_rejects_malformed_lines(tmp_path):
     assert "dense and sparse" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("schema.tsv", "NODE\tA\\q\n", "schema.tsv:1: bad escape in field 'A\\\\q'"),
+        ("nodes.tsv", "n1\tA\tx=1\nn2\tA\tx\n", "nodes.tsv:2: expected att=value, got 'x'"),
+        ("edges.tsv", "e\\q\tR\tn1\tn1\n", "edges.tsv:1: bad escape in field 'e\\\\q'"),
+    ],
+    ids=["schema", "nodes", "edges"],
+)
+def test_field_parse_errors_report_line_numbers(tmp_path, name, text, error):
+    _minimal_schema(tmp_path)
+    _write(tmp_path, "nodes.tsv", "n1\tA\n")
+    _write(tmp_path, "edges.tsv", "")
+    _write(tmp_path, name, text)
+    with pytest.raises(InputError) as err:
+        io.load_input(tmp_path)
+    assert str(err.value) == error
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(InputError):
         io.load_input(tmp_path)

@@ -62,10 +62,14 @@ def test_empty_labels_are_skipped_in_resolution():
 
 
 def test_build_rejects_duplicates():
-    with pytest.raises(InputError):
-        TypeTable.build([("A", 1, []), ("A", 2, [])])
-    with pytest.raises(InputError):
-        TypeTable.build([("A", 1, [("x", True), ("x", False)])])
+    from attk2.graph import check_bundle
+    from attk2.io import InputBundle
+
+    nodes = [(str(i), "A", []) for i in range(1, 4)]
+    with pytest.raises(InputError, match="duplicate label 'A'"):
+        check_bundle(InputBundle([("A", []), ("A", [])], [], nodes, []))
+    with pytest.raises(InputError, match="duplicate attribute 'x'"):
+        check_bundle(InputBundle([("A", [("x", True), ("x", False)])], [], nodes[:1], []))
 
 
 def test_dyn_add_type_and_register():
