@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import __version__, io, queries
 from .errors import CorruptFileError, InputError, NotFoundError
-from .graph import build_graph
+from .graph import _assemble
 
 
 def _print_sizes(path) -> int:
@@ -28,8 +28,8 @@ def _print_sizes(path) -> int:
 
 
 def cmd_build(args) -> int:
-    bundle = io.load_input(args.input)
-    graph = build_graph(bundle, k=args.k)
+    bundle = io.load_input(args.input)  # checks the bundle
+    graph = _assemble(bundle, args.k)
     out = Path(args.output)
     io.save_db(graph, out)
     io.write_id_maps(out.parent / "ids.tsv", graph)

@@ -16,7 +16,7 @@ from array import array
 
 from .attrstore import DynDenseAttribute, SparseAttribute
 from .errors import InputError, NotFoundError
-from .graph import EDGE, NODE, UNDEFINED, _dense, _schema, _sparse, build_graph
+from .graph import EDGE, NODE, UNDEFINED, _assemble, _dense, _schema, _sparse
 from .io import export_bundle
 from .multiedge import DynMultiEdge
 from .schema import DynTypeTable
@@ -191,9 +191,10 @@ class DynAttK2Graph:
         """One-way export: build a static store from the live content.
 
         Dynamic ids become the external ids of the static store (as decimal
-        strings); tombstoned elements are dropped.
+        strings); tombstoned elements are dropped. The per-call guards keep
+        the live content valid, so the bundle is not checked again.
         """
-        return build_graph(export_bundle(self, str, str), k=self.k)
+        return _assemble(export_bundle(self, str, str), self.k)
 
     # -- internals --------------------------------------------------------------
 

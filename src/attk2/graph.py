@@ -240,12 +240,19 @@ def check_bundle(bundle: "InputBundle", where=None) -> None:
 
 
 def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:
-    """Check an input bundle (`check_bundle`) and assemble the static store.
+    """Check an input bundle (`check_bundle`) and assemble the static store."""
+    check_bundle(bundle)
+    return _assemble(bundle, k)
+
+
+def _assemble(bundle: "InputBundle", k: int) -> AttK2Graph:
+    """The static store of a bundle that `check_bundle` accepts, unchecked:
+    `cli.cmd_build` passes the bundle `io.load_input` has checked, and
+    `DynAttK2Graph.freeze` one its live store's guards keep valid.
 
     Internal ids are assigned by sorting elements on (label, external id),
     both compared bytewise, so every label covers a contiguous range.
     """
-    check_bundle(bundle)
 
     def table(schema, records):
         counts = Counter(r[1] for r in records)

@@ -31,16 +31,43 @@ those 40k-node / 100k-edge query sets ran 1.5–1.6×, 2.5× and 2.7× slower
 static column takes the shared descent at every k. The static store walks a
 dense value column once, on the column's first select, and keeps its ids.
 
+In a tree wider than 2 << BAND_J, the row walk starts below the top levels:
+the blocks of side 2 << BAND_J that a row meets depend only on its band, the
+2 << BAND_J rows holding it, and from the root to that side the walk of a
+clustered graph follows a few chains that do not branch. The first read in a
+band derives the band's frontier, those blocks over the full width, and
+keeps it on the tree in two `array('I')`s (`K2Tree._bands`); later reads in
+the band push the frontier blocks that meet their window. One lock orders
+the derivations, so the static store stays safe for concurrent readers; a
+read of a derived band takes no lock. Load derives nothing and the file
+keeps one tree: the first-level partition of Brisaboa, Ladra & Navarro
+(Inf. Syst. 2014), made in memory on demand. On the seed-7
+40k-node / 100k-edge store (min of 7 alternating passes over its eight
+1,000-query sets in one process, BENCH_25.json), BAND_J = 5 took the warm
+total from 47.0 to 33.6 ms (Related 25.9 → 16.3 ms, Neighbors 9.7 → 6.4 ms),
+a first pass on a fresh load from 52.1 to 45.1 ms, and kept 2,057 frontier
+entries (38.6 kB) after all eight sets. BAND_J = 6 read 35.1 ms warm and
+BAND_J = 4 31.1 ms warm but 51.3 ms cold; tuples in place of the arrays
+read 33.3 ms and 0.32 MB.
+
 Rows and columns are 1-based in the public API.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, compress, count
+from threading import Lock
 from typing import Iterable
 
 from .bits import BitSequence, DynBitSequence
 from .errors import InputError
+
+# A static k=2 row read of a tree wider than 2 << BAND_J starts at the blocks
+# whose children have side 2^BAND_J (see `K2Tree.row_leaves`).
+BAND_J = 5
+# Orders the writes of derived band frontiers (`K2Tree._frontier`).
+_BANDS_LOCK = Lock()
 
 
 def _padded_side(n_logical: int, k: int) -> int:
@@ -155,7 +182,7 @@ class K2Tree:
     """Static k²-tree over an n_logical×n_logical boolean matrix, padded to
     the side n, the next power of k."""
 
-    __slots__ = ("k", "n", "n_logical", "T", "L")
+    __slots__ = ("k", "n", "n_logical", "T", "L", "_bands")
 
     def __init__(self, k: int, n_logical: int, t: BitSequence, l: BitSequence):
         self.k = k
@@ -163,6 +190,7 @@ class K2Tree:
         self.n_logical = n_logical
         self.T = t
         self.L = l
+        self._bands = None  # the row bands' frontiers, `_frontier`
 
     @classmethod
     def build(cls, n_logical: int, cells: Iterable[tuple[int, int]], k: int = 2) -> "K2Tree":
@@ -254,6 +282,20 @@ class K2Tree:
         rr = r - 1
         lo = c1 - 1
         hi = c2 - 1
+        if self.n > 2 << BAND_J:
+            # Start at the band's frontier (`_frontier`, cached in `_bands`
+            # on the band's first read), the blocks with j = BAND_J in
+            # column order: push those that meet the window, the last first.
+            band = rr >> (BAND_J + 1)
+            at, flat = self._bands or self._new_bands()
+            i = at[band] or self._frontier(band)
+            stack = []
+            for q in range(i + 2 * flat[i] - 1, i, -2):
+                col0 = flat[q + 1]
+                if col0 <= hi and col0 + (2 << BAND_J) > lo:
+                    stack.append((flat[q], col0, BAND_J))
+        else:
+            stack = [(0, 0, self.n.bit_length() - 2)]
         tw = self.T._words
         tc = self.T._cum
         tn = self.T.n
@@ -261,7 +303,6 @@ class K2Tree:
         lc = self.L._cum
         out = []
         emit = out.append
-        stack = [(0, 0, self.n.bit_length() - 2)]
         pop = stack.pop
         push = stack.append
         while stack:
@@ -293,6 +334,51 @@ class K2Tree:
                 if pair & 1 and mid > lo:
                     push((ones << 2, col0, j))
         return out
+
+    def _new_bands(self) -> tuple[array, array]:
+        """The empty frontier cache: `at` holds one index into `flat` per
+        band, 0 until the band's first read; `flat` starts with a pad."""
+        with _BANDS_LOCK:
+            if self._bands is None:
+                self._bands = array("I", bytes(4 * (self.n >> (BAND_J + 1)))), array("I", [0])
+        return self._bands
+
+    def _frontier(self, band: int) -> int:
+        """Derive a band's frontier, append it to `flat` and return where it
+        starts. The frontier lists (T start, first column) of the band's
+        blocks whose children have side 2^BAND_J, full width, in column
+        order, after their count. The walk is `row_leaves`' walk above
+        BAND_J: at each level the band picks one half of every block."""
+        tw = self.T._words
+        tc = self.T._cum
+        found = []
+        stack = [(0, 0, self.n.bit_length() - 2)]
+        while stack:
+            start, col0, j = stack.pop()
+            if j == BAND_J:
+                found += (start, col0)
+                continue
+            p = start + ((band >> (j - BAND_J - 1) & 1) << 1)
+            w = p >> 6
+            word = tw[w]
+            p &= 63
+            pair = word >> p & 3
+            if pair:
+                ones = tc[w] + (word & ((2 << p) - 1)).bit_count()
+                j -= 1
+                if pair & 2:
+                    stack.append(((ones + 1) << 2, col0 + (2 << j), j))
+                if pair & 1:
+                    stack.append((ones << 2, col0, j))
+        with _BANDS_LOCK:
+            at, flat = self._bands
+            i = at[band]
+            if not i:  # no other reader has derived it meanwhile
+                i = len(flat)
+                flat.append(len(found) >> 1)
+                flat.extend(found)
+                at[band] = i  # last: a reader that sees it finds the list whole
+        return i
 
 
 class DynK2Tree:

@@ -13,7 +13,7 @@ from attk2.errors import CorruptFileError, InputError
 from attk2.gen import generate
 from attk2.attrstore import DenseAttributeMatrix, SparseAttribute
 from attk2.graph import EDGE, NODE, AttK2Graph, IdMap, build_graph
-from attk2.k2 import K2Tree
+from attk2.k2 import BAND_J, K2Tree, _cells
 from attk2.multiedge import MultiEdgeK2Tree
 from attk2.schema import TypeTable
 
@@ -674,6 +674,61 @@ def test_a_dense_row_with_two_values_is_rejected_where_read(tmp_path, store, cap
     for dynamic in ([], ["--dynamic"]):
         assert main(["query", "--db", str(path), "--script", str(script), *dynamic]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_dense_row_with_two_values_is_rejected_on_the_band_path(tmp_path):
+    """As above, on a dense matrix wide enough that its row reads start at a
+    band frontier: one element is given a second column of its value's
+    attribute block."""
+    data = generate(
+        nodes=300, edges=600, node_types=3, edge_types=3, attrs=6, seed=5,
+        queries_per_kind=0,
+    )
+    g = build_graph(data.bundle)
+    dense = g.node_dense
+    m = dense.matrix
+    assert m.n > 2 << BAND_J
+    cells = _cells(m)
+    firsts = [1] + [last + 1 for last in dense.col_limits]  # each block's first column
+    elem, col, a = next(
+        (r, c, a)
+        for r, c in sorted(cells)
+        for a in range(len(dense.atts))
+        if firsts[a] <= c < firsts[a + 1] and firsts[a + 1] - firsts[a] > 1
+    )
+    other = firsts[a] + (col == firsts[a])
+    dense.matrix = K2Tree.build(m.n_logical, cells + [(elem, other)], 2)
+    path = tmp_path / "two.db"
+    io.save_db(g, path)  # every checksum holds
+    att = dense.atts[a]
+    label = g.get_type(NODE, elem)
+    message = f"element {elem} takes two values of one dense attribute"
+    with pytest.raises(CorruptFileError, match=message):
+        io.load_db(path).get_attribute(NODE, elem, att)
+    for c in (col, other):
+        value = dense.col_values[a][c - firsts[a]]
+        with pytest.raises(CorruptFileError, match=message):
+            io.load_db(path).select(NODE, label, att, value)
+
+
+def test_reads_leave_the_store_file_unchanged(tmp_path):
+    """Saving a loaded store after all eight query sets have run writes the
+    bytes it was loaded from: what reads derive stays out of the file."""
+    data = generate(
+        nodes=400, edges=1500, node_types=3, edge_types=4, attrs=6, seed=7,
+        queries_per_kind=60,
+    )
+    path = tmp_path / "g.db"
+    io.save_db(build_graph(data.bundle), path)
+    g = io.load_db(path)
+    runner = queries.StaticRunner(g)
+    assert len(data.scripts) == 8
+    for ops in data.scripts.values():
+        queries.run_script(runner, ops)
+    assert g.relations.base._bands is not None
+    again = tmp_path / "again.db"
+    io.save_db(g, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_checks_the_relations_arrays(tmp_path, store, capsys):

@@ -1,11 +1,13 @@
 """k²-tree construction, navigation and mutation against brute-force oracles."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from attk2.errors import InputError
-from attk2.k2 import DynK2Tree, K2Tree, _cells, _rect_leaves, _row_leaves
+from attk2.k2 import BAND_J, DynK2Tree, K2Tree, _cells, _rect_leaves, _row_leaves
 
 from conftest import cell, cells_in, leaf_ordinal
 
@@ -147,6 +149,91 @@ def test_row_walk_matches_the_shared_descent(density):
             for lo in range(1, n + 1):
                 for hi in range(lo, n + 1):
                     assert t.row_leaves(r, lo, hi) == _row_leaves(t, r, lo, hi)
+
+
+def _band_cells(rng, n, layout):
+    """About 3n cells of an n×n matrix: uniform, or clustered along the
+    diagonal as label-sorted ids cluster a graph's edges."""
+    if layout == "random":
+        return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)]
+    out = []
+    for _ in range(3 * n):
+        r = rng.randint(1, n)
+        out.append((r, min(n, max(1, r + rng.randint(-12, 12)))))
+    return out
+
+
+@pytest.mark.parametrize("layout", ["random", "diagonal"])
+@pytest.mark.parametrize("n", [64, 65, 128, 200, 1024])
+def test_band_start_matches_the_shared_descent(n, layout):
+    """Above side 2 << BAND_J the k=2 row walk starts at the row's band
+    frontier: every row, full width and in sampled windows (empty ones
+    included), against `_row_leaves`, and every leaf ordinal against the
+    leaf order of `_cells`."""
+    rng = random.Random(n * 7 + len(layout))
+    t = K2Tree.build(n, _band_cells(rng, n, layout), 2)
+    ordinal = {rc: i for i, rc in enumerate(_cells(t), start=1)}
+    for r in range(1, n + 1):
+        row = t.row_leaves(r, 1, n)
+        assert row == _row_leaves(t, r, 1, n)
+        assert all(ordinal[r, c] == i for c, i in row)
+        for _ in range(3):
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo - 1, min(n, lo + rng.choice((0, 5, 40, n))))
+            assert t.row_leaves(r, lo, hi) == _row_leaves(t, r, lo, hi)
+    assert (t._bands is not None) == (t.n > 2 << BAND_J)
+
+
+def test_a_narrow_first_read_derives_the_whole_band():
+    """The first read of a band is one column; a later full-width read of
+    another row of that band still finds every one."""
+    n = 512
+    side = 2 << BAND_J
+    cells = [(r, c) for r in range(side + 1, 2 * side + 1) for c in range(r % 7 + 1, n + 1, 37)]
+    t = K2Tree.build(n, cells, 2)
+    first = (side + 1) % 7 + 1  # the first row's first one
+    assert t.row_leaves(side + 1, first, first) == _row_leaves(t, side + 1, first, first) != []
+    for r in (side + 2, 2 * side):
+        row = t.row_leaves(r, 1, n)
+        assert [c for c, _ in row] == sorted(c for rr, c in cells if rr == r)
+        assert row == _row_leaves(t, r, 1, n)
+
+
+def test_concurrent_first_reads_derive_the_bands_once():
+    """Readers on several threads start together on fresh trees and derive
+    the bands on their first reads; with the interpreter switching threads
+    as often as it can, every read still matches the shared descent."""
+    n = 128
+    rng = random.Random(3)
+    trees = [K2Tree.build(n, _band_cells(rng, n, "random"), 2) for _ in range(150)]
+    rows = rng.sample(range(1, n + 1), 12)
+    want = [{r: _row_leaves(t, r, 1, n) for r in rows} for t in trees]
+    start = threading.Barrier(6, timeout=60)
+    wrong = []
+
+    def read(seed):
+        order = random.Random(seed)
+        for t, answers in zip(trees, want):
+            start.wait()
+            for r in order.sample(rows, len(rows)):
+                try:
+                    if t.row_leaves(r, 1, n) != answers[r]:
+                        wrong.append(r)
+                except Exception as exc:  # a torn cache reads out of range
+                    wrong.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(s,)) for s in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 def test_leaf_ordinal_matches_enumeration():
