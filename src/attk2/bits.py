@@ -7,7 +7,8 @@ the dynamic k²-tree makes: a run of zeros inserted, a run removed, a bit set
 in place. Its reads bisect prefix lists of the chunks' bit and one counts,
 which a write drops and the next read rebuilds. It answers access and rank
 only: select has no caller on a dynamic bitmap. `to_bits` of either class
-lists every bit, for `k2._cells`, the whole-tree read.
+lists every bit, for `k2._cells`, the whole-tree read; it and the store
+reader's Multi flags spell words out through `unpack_bits`.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable
 
 from .errors import CorruptFileError, NotFoundError
@@ -45,6 +46,15 @@ def _pack_bits(bits) -> tuple[list[int], int]:
     if shift:
         words.append(cur)
     return words, n
+
+
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def unpack_bits(pieces: Iterable[tuple[int, int]]) -> bytes:
+    """One byte, 0 or 1, per bit of each (value, width) piece, low bit first:
+    `format` spells each piece in C, and `translate` maps the digits."""
+    return "".join([f"{v:0{w}b}"[::-1] for v, w in pieces if w]).encode().translate(_DIGIT_BIT)
 
 
 class BitSequence:
@@ -108,8 +118,7 @@ class BitSequence:
         return (w << 6) + (word & -word).bit_length()
 
     def to_bits(self) -> list[int]:
-        words = self._words
-        return [(words[i >> 6] >> (i & 63)) & 1 for i in range(self.n)]
+        return list(unpack_bits(zip(self._words, repeat(64)))[: self.n])
 
     def to_bytes(self) -> bytes:
         """Wire form: u64 LE bit count, then the packed words as u64 LE."""
@@ -306,10 +315,7 @@ class DynBitSequence:
         return self._ones_before()[ci] + (self._chunks[ci] & ((2 << q) - 1)).bit_count()
 
     def to_bits(self) -> list[int]:
-        out = []
-        for chunk, length in zip(self._chunks, self._lens):
-            out.extend((chunk >> i) & 1 for i in range(length))
-        return out
+        return list(unpack_bits(zip(self._chunks, self._lens)))
 
     def __len__(self) -> int:
         return self.n

@@ -116,7 +116,8 @@ class DynAttK2Graph:
     def remove_node(self, node_id: int):
         """Tombstone a node. Its id stays allocated and is reported not-found;
         incident edges must have been removed first."""
-        self._check_node(node_id)
+        if node_id in self.dead_nodes or not 1 <= node_id <= self.node_schema.count:
+            raise NotFoundError(f"node {node_id} does not exist")
         n = self.relations.base.n
         if node_id <= n and (
             self.relations.neighbor_cols(node_id, 1, n)

@@ -80,7 +80,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .attrstore import DenseAttributeMatrix, SparseAttribute
-from .bits import BitSequence
+from .bits import BitSequence, unpack_bits
 from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap, check_bundle
 from .k2 import K2Tree, _rect_leaves
@@ -520,8 +520,7 @@ def _write_relations(w: _Writer, rel: MultiEdgeK2Tree):
     w.u32_array(rel.more)
 
 
-_IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
-_IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _mask(size: int, positions, bit: int = 1) -> bytearray:
@@ -543,13 +542,12 @@ def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
     if multi.n != base.L.ones:
         raise CorruptFileError("the Multi bitmap does not match the leaf count")
     last = r.u32_array(multi.n)
-    # one "0" or "1" byte per leaf, spelled out from the Multi words
-    flags = "".join(f"{w:064b}"[::-1] for w in multi._words)[: multi.n].encode()
-    bounds = array("I", [0, *compress(last, flags.translate(_IS_ONE))])  # 0, the run ends
+    flags = unpack_bits(zip(multi._words, repeat(64)))[: multi.n]  # one byte per leaf
+    bounds = array("I", [0, *compress(last, flags)])  # 0, the run ends
     if not all(map(lt, bounds, bounds[1:])):
         raise CorruptFileError("multi-edge runs do not tile the More array")
     more = r.u32_array(bounds[-1])
-    singles = list(compress(last, flags.translate(_IS_ZERO)))
+    singles = list(compress(last, flags.translate(_FLIP)))
     for ids in (singles, more):
         if ids and (min(ids) < 1 or max(ids) > edges):
             raise CorruptFileError(f"edge id outside 1..{edges} in the relations")

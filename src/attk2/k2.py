@@ -36,19 +36,26 @@ the blocks of side 2 << BAND_J that a row meets depend only on its band, the
 2 << BAND_J rows holding it, and from the root to that side the walk of a
 clustered graph follows a few chains that do not branch. The first read in a
 band derives the band's frontier, those blocks over the full width, and
-keeps it on the tree in two `array('I')`s (`K2Tree._bands`); later reads in
-the band push the frontier blocks that meet their window. One lock orders
-the derivations, so the static store stays safe for concurrent readers; a
-read of a derived band takes no lock. Load derives nothing and the file
-keeps one tree: the first-level partition of Brisaboa, Ladra & Navarro
-(Inf. Syst. 2014), made in memory on demand. On the seed-7
-40k-node / 100k-edge store (min of 7 alternating passes over its eight
-1,000-query sets in one process, BENCH_25.json), BAND_J = 5 took the warm
-total from 47.0 to 33.6 ms (Related 25.9 → 16.3 ms, Neighbors 9.7 → 6.4 ms),
-a first pass on a fresh load from 52.1 to 45.1 ms, and kept 2,057 frontier
-entries (38.6 kB) after all eight sets. BAND_J = 6 read 35.1 ms warm and
-BAND_J = 4 31.1 ms warm but 51.3 ms cold; tuples in place of the arrays
-read 33.3 ms and 0.32 MB.
+keeps it on the tree in two `array('I')`s (`K2Tree._bands`). Each block
+comes with a row mask, one bit per row of the band that holds a one in the
+block, which the derivation finds by entering every child down to L
+(`K2Tree._row_mask`). Later reads in the band push only the frontier blocks
+whose mask holds their row and that meet their window. One lock orders the
+derivations, so the static store stays safe for concurrent readers; a read
+of a derived band takes no lock. Load derives nothing and the file keeps one
+tree: the first-level partition of Brisaboa, Ladra & Navarro (Inf. Syst.
+2014), made in memory on demand.
+
+On the seed-7 40k-node / 100k-edge store (min of 7 alternating passes over
+its eight 1,000-query sets in one process, BENCH_26.json), BAND_J = 3 with
+masks took the warm total from 35.2 ms (BAND_J = 5, no masks) to 26.0 ms:
+Related 17.3 → 10.3 ms, Neighbors 6.8 → 5.1 ms. BAND_J = 3 without masks
+read 30.5 ms, so each part gives about half. The masks cost their walk on a
+band's first read: a first pass on a fresh load went from 44.4 to 88.6 ms,
+and the frontiers kept after all eight sets from 38 to 153 kB (292 kB with
+every band derived, against 95 kB of T and L in the three trees). With masks,
+BAND_J = 4 and 5 read 27.9 and 29.7 ms warm; BAND_J = 2 and 1 read 24.1
+and 22.3 ms, but keep 655 kB and 1.28 MB with every band derived.
 
 Rows and columns are 1-based in the public API.
 """
@@ -64,8 +71,17 @@ from .bits import BitSequence, DynBitSequence
 from .errors import InputError
 
 # A static k=2 row read of a tree wider than 2 << BAND_J starts at the blocks
-# whose children have side 2^BAND_J (see `K2Tree.row_leaves`).
-BAND_J = 5
+# whose children have side 2^BAND_J (see `K2Tree.row_leaves`). A block's row
+# mask has one bit per row of the band, so BAND_J <= 4 keeps it in an 'I'.
+BAND_J = 3
+# The (ordinal among its set bits, lower half) of each set bit of a T nibble,
+# the four child bits of one block, and the rows (bit 0 upper, bit 1 lower)
+# that a leaf block, a nibble of L, holds ones in (`K2Tree._row_mask`).
+_KIDS = [
+    tuple((m, b >> 1) for m, b in enumerate([b for b in range(4) if nib >> b & 1], 1))
+    for nib in range(16)
+]
+_ROWS = bytes((nib & 3 != 0) | (nib & 12 != 0) << 1 for nib in range(16))
 # Orders the writes of derived band frontiers (`K2Tree._frontier`).
 _BANDS_LOCK = Lock()
 
@@ -285,15 +301,18 @@ class K2Tree:
         if self.n > 2 << BAND_J:
             # Start at the band's frontier (`_frontier`, cached in `_bands`
             # on the band's first read), the blocks with j = BAND_J in
-            # column order: push those that meet the window, the last first.
+            # column order: push those that hold a one in the row and meet
+            # the window, the last first.
             band = rr >> (BAND_J + 1)
+            bit = 1 << (rr & ((2 << BAND_J) - 1))
             at, flat = self._bands or self._new_bands()
             i = at[band] or self._frontier(band)
             stack = []
-            for q in range(i + 2 * flat[i] - 1, i, -2):
-                col0 = flat[q + 1]
-                if col0 <= hi and col0 + (2 << BAND_J) > lo:
-                    stack.append((flat[q], col0, BAND_J))
+            for q in range(i + 3 * flat[i] - 2, i, -3):
+                if flat[q + 2] & bit:
+                    col0 = flat[q + 1]
+                    if col0 <= hi and col0 + (2 << BAND_J) > lo:
+                        stack.append((flat[q], col0, BAND_J))
         else:
             stack = [(0, 0, self.n.bit_length() - 2)]
         tw = self.T._words
@@ -345,10 +364,10 @@ class K2Tree:
 
     def _frontier(self, band: int) -> int:
         """Derive a band's frontier, append it to `flat` and return where it
-        starts. The frontier lists (T start, first column) of the band's
-        blocks whose children have side 2^BAND_J, full width, in column
-        order, after their count. The walk is `row_leaves`' walk above
-        BAND_J: at each level the band picks one half of every block."""
+        starts. The frontier lists (T start, first column, row mask) of the
+        band's blocks whose children have side 2^BAND_J, full width, in
+        column order, after their count. The walk is `row_leaves`' walk
+        above BAND_J: at each level the band picks one half of every block."""
         tw = self.T._words
         tc = self.T._cum
         found = []
@@ -356,7 +375,7 @@ class K2Tree:
         while stack:
             start, col0, j = stack.pop()
             if j == BAND_J:
-                found += (start, col0)
+                found += (start, col0, self._row_mask(start))
                 continue
             p = start + ((band >> (j - BAND_J - 1) & 1) << 1)
             w = p >> 6
@@ -375,10 +394,43 @@ class K2Tree:
             i = at[band]
             if not i:  # no other reader has derived it meanwhile
                 i = len(flat)
-                flat.append(len(found) >> 1)
+                flat.append(len(found) // 3)
                 flat.extend(found)
                 at[band] = i  # last: a reader that sees it finds the list whole
         return i
+
+    def _row_mask(self, start: int) -> int:
+        """Bit i set if row i of the frontier block at T start holds a one.
+        The walk enters every child down to L; it goes on down the first
+        child of a block and stacks the others, since most blocks this low
+        have one, and reads the rows of a leaf block from `_ROWS`."""
+        tw = self.T._words
+        tc = self.T._cum
+        tn = self.T.n
+        lw = self.L._words
+        mask = 0
+        stack = [(start, 0, BAND_J)]  # (block start, first row, j)
+        while stack:
+            start, row0, j = stack.pop()
+            while True:
+                w = start >> 6
+                word = tw[w]
+                p = start & 63
+                nib = word >> p & 15
+                ones = tc[w] + (word & ((1 << p) - 1)).bit_count()
+                kids = _KIDS[nib]
+                if j == 1:
+                    for m, lower in kids:
+                        q = ((ones + m) << 2) - tn
+                        mask |= _ROWS[lw[q >> 6] >> (q & 63) & 15] << (row0 + lower + lower)
+                    break
+                side = 1 << j
+                j -= 1
+                for m, lower in kids[1:]:
+                    stack.append(((ones + m) << 2, row0 + lower * side, j))
+                start = (ones + 1) << 2
+                row0 += kids[0][1] * side
+        return mask
 
 
 class DynK2Tree:

@@ -174,6 +174,28 @@ def test_remove_node_requires_isolation():
         g.add_edge("Follows", 2, 1)
 
 
+def test_remove_node_of_an_id_never_allocated_matches_the_oracle():
+    """Removing id 0, one past the last node or a large id raises the
+    oracle's NotFoundError with its message; so does removing a node twice."""
+    g = make_tiny()
+    oracle = NaiveStore()
+    oracle.add_node_type("User")
+    oracle.add_attribute(NODE, "User", "name", False)
+    for store in (g, oracle):
+        store.add_node("User", [("name", "ann")])
+        store.add_node("User")
+    count = 2
+    for node_id in (0, count + 1, 10**9):
+        for store in (g, oracle):
+            with pytest.raises(NotFoundError, match=f"^node {node_id} does not exist$"):
+                store.remove_node(node_id)
+    for store in (g, oracle):
+        store.remove_node(2)
+        with pytest.raises(NotFoundError, match="^node 2 does not exist$"):
+            store.remove_node(2)
+    assert g.scan(NODE, "User") == oracle.scan(NODE, "User") == [1]
+
+
 def test_schema_growth_midstream():
     g = make_tiny()
     g.add_node("User", [("name", "ann")])

@@ -164,7 +164,7 @@ def _band_cells(rng, n, layout):
 
 
 @pytest.mark.parametrize("layout", ["random", "diagonal"])
-@pytest.mark.parametrize("n", [64, 65, 128, 200, 1024])
+@pytest.mark.parametrize("n", sorted({2 << BAND_J, (2 << BAND_J) + 1, 64, 65, 128, 200, 1024}))
 def test_band_start_matches_the_shared_descent(n, layout):
     """Above side 2 << BAND_J the k=2 row walk starts at the row's band
     frontier: every row, full width and in sampled windows (empty ones
@@ -182,6 +182,27 @@ def test_band_start_matches_the_shared_descent(n, layout):
             hi = rng.randint(lo - 1, min(n, lo + rng.choice((0, 5, 40, n))))
             assert t.row_leaves(r, lo, hi) == _row_leaves(t, r, lo, hi)
     assert (t._bands is not None) == (t.n > 2 << BAND_J)
+
+
+@pytest.mark.parametrize("layout", ["random", "diagonal"])
+def test_frontier_masks_name_the_rows_that_hold_ones(layout):
+    """Every frontier entry of every band, (T start, first column, row
+    mask), names a block of side 2 << BAND_J whose rows with a one are
+    exactly the mask's bits."""
+    n = 300
+    side = 2 << BAND_J
+    t = K2Tree.build(n, _band_cells(random.Random(5), n, layout), 2)
+    t.row_leaves(1, 1, n)
+    at, flat = t._bands
+    for band in range(t.n // side):
+        i = at[band] or t._frontier(band)
+        entries = [flat[q : q + 3] for q in range(i + 1, i + 1 + 3 * flat[i], 3)]
+        assert [col0 for _, col0, _ in entries] == sorted(col0 for _, col0, _ in entries)
+        held = {}
+        for r, c, _ in _rect_leaves(t, band * side, band * side + side - 1, 0, t.n - 1):
+            col0 = (c - 1) // side * side
+            held[col0] = held.get(col0, 0) | 1 << (r - 1) % side
+        assert {col0: mask for _, col0, mask in entries} == held
 
 
 def test_a_narrow_first_read_derives_the_whole_band():
@@ -271,6 +292,31 @@ def test_space_on_clustered_matrix():
     t = K2Tree.build(n, cells, 2)
     assert t.ones == target
     assert t.bit_size < n * n
+
+
+def test_dyn_k2_chunks_hold_whole_blocks():
+    """After random sets, clears and grows, with enough blocks that T and L
+    both split into 2,048-bit chunks, every chunk of a k=2 tree holds whole
+    2×2 blocks: its length is a multiple of 4, so no block straddles two
+    chunks. A k=2 pair read of one block's bits relies on this."""
+    rng = random.Random(17)
+    t = DynK2Tree(4, 2)
+    cells = set()
+    for step in range(3000):
+        bound = 64 if step < 300 else 1500  # the side grows past 64 midway
+        if cells and rng.random() < 0.3:
+            r, c = rng.choice(sorted(cells)) if rng.random() < 0.8 else (1, 1)
+            t.clear(r, c)
+            cells.discard((r, c))
+        else:
+            r, c = rng.randint(1, bound), rng.randint(1, bound)
+            t.set(r, c)
+            cells.add((r, c))
+        if step % 100 == 99:
+            for bits in (t.T, t.L):
+                assert all(length % 4 == 0 for length in bits._lens)
+    assert len(t.T._chunks) > 1 and len(t.L._chunks) > 1
+    assert sorted(_cells(t)) == sorted(cells)
 
 
 def test_dyn_set_examples():
