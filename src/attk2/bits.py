@@ -8,7 +8,9 @@ in place. Its reads bisect prefix lists of the chunks' bit and one counts,
 which a write drops and the next read rebuilds. It answers access and rank
 only: select has no caller on a dynamic bitmap. `to_bits` of either class
 lists every bit, for `k2._cells`, the whole-tree read; it and the store
-reader's Multi flags spell words out through `unpack_bits`.
+reader's Multi flags spell words out through `unpack_bits`. Both classes
+take their bits through `_pack_bits`, the inverse of `unpack_bits`: the
+static one as words, the dynamic one as 2,048-bit chunks.
 
 All public positions and ordinals are 1-based: ``rank1(i)`` counts ones in
 positions ``1..i`` (so ``rank1(0) == 0``) and ``select1(j)`` returns the
@@ -28,24 +30,20 @@ from typing import Iterable
 from .errors import CorruptFileError, NotFoundError
 
 
-def _pack_bits(bits) -> tuple[list[int], int]:
-    """Pack an iterable of truth values into 64-bit words, LSB first."""
-    words = []
-    cur = 0
-    shift = 0
-    n = 0
-    for b in bits:
-        if b:
-            cur |= 1 << shift
-        shift += 1
-        n += 1
-        if shift == 64:
-            words.append(cur)
-            cur = 0
-            shift = 0
-    if shift:
-        words.append(cur)
-    return words, n
+# A byte per bit to its binary digit: 0 to "0", any other value to "1".
+_BIT_DIGIT = b"0" + b"1" * 255
+
+
+def _pack_bits(bits) -> tuple[bytes, int]:
+    """Pack an iterable of truth values, LSB first, into whole 64-bit words
+    as little-endian bytes, and count them. One integer carries the bits:
+    `bool` makes a byte per bit (bytes and bytearrays hold one already),
+    `translate` spells them as binary digits and `int(…, 2)` reads the
+    reversed digits; no step loops in Python."""
+    raw = bits if isinstance(bits, (bytes, bytearray)) else bytes(map(bool, bits))
+    n = len(raw)
+    payload = int(b"0" + raw.translate(_BIT_DIGIT)[::-1], 2)
+    return payload.to_bytes((n + 63) >> 6 << 3, "little"), n
 
 
 _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
@@ -63,7 +61,8 @@ class BitSequence:
     __slots__ = ("n", "ones", "_words", "_cum")
 
     def __init__(self, bits: Iterable = ()):
-        self._words, self.n = _pack_bits(bits)
+        packed, self.n = _pack_bits(bits)
+        self._words = list(struct.unpack(f"<{len(packed) >> 3}Q", packed))
         self._build_directory()
 
     @classmethod
@@ -162,25 +161,14 @@ class DynBitSequence:
     __slots__ = ("n", "ones", "_chunks", "_lens", "_ones", "_starts", "_ranks")
 
     def __init__(self, bits: Iterable = ()):
-        words, n = _pack_bits(bits)
-        payload = 0
-        for i, w in enumerate(words):
-            payload |= w << (64 * i)
-        self._chunks = []
-        self._lens = []
-        self._ones = []
-        pos = 0
-        while pos < n:
-            take = min(_CHUNK_BITS, n - pos)
-            piece = (payload >> pos) & ((1 << take) - 1)
-            self._chunks.append(piece)
-            self._lens.append(take)
-            self._ones.append(piece.bit_count())
-            pos += take
-        if not self._chunks:
-            self._chunks = [0]
-            self._lens = [0]
-            self._ones = [0]
+        packed, n = _pack_bits(bits)
+        step = _CHUNK_BITS >> 3
+        chunks = [
+            int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)
+        ] or [0]
+        self._chunks = chunks
+        self._lens = [_CHUNK_BITS] * (len(chunks) - 1) + [n - _CHUNK_BITS * (len(chunks) - 1)]
+        self._ones = list(map(int.bit_count, chunks))
         self.n = n
         self.ones = sum(self._ones)
         self._starts = self._ranks = None

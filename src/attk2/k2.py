@@ -21,6 +21,18 @@ themselves, because they change it on the way. A whole-tree read is `_cells`,
 one level-order pass over the bits of T and then L with no rank call: the
 inverse of `build_with_order`.
 
+The build sorts cell codes. A cell's code spells its path from the root: its
+j-th base-k² digit, k·(row digit) + (column digit) of the j-th base-k digits
+of its 0-based row and column, names the child it lies in at depth j, in the
+row-major order of a block. So the nodes at depth j are the distinct j-digit
+prefixes of the codes, and their order in T and L, the order of their
+parents with each block's children in row-major order, is by induction
+ascending prefix order: the Z-order of Brisaboa, Ladra & Navarro (Inf. Syst.
+2014). The build sorts the codes once and takes each depth's prefixes from
+the depth below with one floor division and `dict.fromkeys`; each child sets
+one byte in its parent's k²-byte block, and `bits._pack_bits` packs the
+bytes. The sorted codes give the leaf order too.
+
 A static k=2 row takes its own walk in `K2Tree.row_leaves`, which reads the
 words inline: the row picks the same half of every block of one level, so the
 two children it may enter are adjacent bits of one word, numbered by one
@@ -63,7 +75,8 @@ Rows and columns are 1-based in the public API.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
+from operator import add, floordiv, itemgetter, mul
 from threading import Lock
 from typing import Iterable
 
@@ -223,43 +236,39 @@ class K2Tree:
             raise InputError(f"k must be at least 2, got {k}")
         if n_logical < 0:
             raise InputError(f"matrix side must be non-negative, got {n_logical}")
-        cell_set = set()
-        for r, c in cells:
-            if not (1 <= r <= n_logical and 1 <= c <= n_logical):
-                raise InputError(f"cell ({r}, {c}) outside {n_logical}x{n_logical} matrix")
-            cell_set.add((r - 1, c - 1))
+        cells = list(cells)
+        rows = list(map(itemgetter(0), cells))
+        cols = list(map(itemgetter(1), cells))
+        if cells and not 1 <= min(rows + cols) <= max(rows + cols) <= n_logical:
+            bad = (rc for rc in cells if not (1 <= rc[0] <= n_logical and 1 <= rc[1] <= n_logical))
+            r, c = next(bad)
+            raise InputError(f"cell ({r}, {c}) outside {n_logical}x{n_logical} matrix")
         n = _padded_side(n_logical, k)
         k2 = k * k
-        t_bits: list[int] = []
-        l_bits: list[int] = []
-        # blocks hold the 0-based cells themselves, in leaf order at the end
-        blocks = [sorted(cell_set)]
-        size = n
-        while size > k:
-            sub = size // k
-            next_blocks = []
-            for block in blocks:
-                buckets = [None] * k2
-                for cell in block:
-                    idx = (cell[0] // sub % k) * k + cell[1] // sub % k
-                    if buckets[idx] is None:
-                        buckets[idx] = []
-                    buckets[idx].append(cell)
-                for bucket in buckets:
-                    if bucket is None:
-                        t_bits.append(0)
-                    else:
-                        t_bits.append(1)
-                        next_blocks.append(bucket)
-            blocks = next_blocks
-            size = sub
-        for block in blocks:
-            leaf = [0] * k2
-            for r, c in block:
-                leaf[r % k * k + c % k] = 1
-            l_bits.extend(leaf)
-        tree = cls(k, n_logical, BitSequence(t_bits), BitSequence(l_bits))
-        return tree, [(r + 1, c + 1) for block in blocks for r, c in block]
+        # spread[x]: the base-k digits of x - 1 as base-k² digits, so that the
+        # code k·spread[r] + spread[c] of cell (r, c) spells its path
+        spread = [0]
+        while len(spread) < n:
+            spread = [s * k2 + d for s in spread for d in range(k)]
+        spread.insert(0, 0)
+        highs = map(mul, map(spread.__getitem__, rows), repeat(k))
+        cell_of = dict(zip(map(add, highs, map(spread.__getitem__, cols)), cells))
+        # levels[j]: the distinct j-digit prefixes of the codes, ascending;
+        # the last holds the codes themselves, the first the root
+        levels = [sorted(cell_of)]
+        while k ** len(levels) < n:
+            levels.append(list(dict.fromkeys(map(floordiv, levels[-1], repeat(k2)))))
+        levels.append([0])
+        levels.reverse()
+        blocks = []
+        for parents, children in zip(levels, levels[1:]):
+            start = dict(zip(parents, count(0, k2)))  # each parent's block
+            bits = bytearray(len(parents) * k2)
+            for code in children:
+                bits[start[code // k2] + code % k2] = 1
+            blocks.append(bits)
+        tree = cls(k, n_logical, BitSequence(b"".join(blocks[:-1])), BitSequence(blocks[-1]))
+        return tree, list(map(cell_of.__getitem__, levels[-1]))
 
     @property
     def ones(self) -> int:

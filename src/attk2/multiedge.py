@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable
 
 from .bits import BitSequence
@@ -54,14 +55,18 @@ class MultiEdgeK2Tree:
         k: int = 2,
     ) -> "MultiEdgeK2Tree":
         """Build from (edge_id, origin, target) triples; edge ids must be unique."""
+        triples = list(triples)
+        eids, origins, targets = (list(map(itemgetter(i), triples)) for i in range(3))
+        if len(set(eids)) < len(eids):
+            seen = set()
+            eid = next(e for e in eids if e in seen or seen.add(e))  # add returns None
+            raise InputError(f"duplicate edge id {eid}")
+        if triples and not 1 <= min(origins + targets) <= max(origins + targets) <= n_nodes:
+            bad = (x for x in triples if not (1 <= x[1] <= n_nodes and 1 <= x[2] <= n_nodes))
+            eid, o, t = next(bad)
+            raise InputError(f"edge {eid} endpoint ({o}, {t}) outside 1..{n_nodes}")
         by_pair: dict[tuple[int, int], list[int]] = {}
-        seen = set()
         for eid, o, t in triples:
-            if eid in seen:
-                raise InputError(f"duplicate edge id {eid}")
-            seen.add(eid)
-            if not (1 <= o <= n_nodes and 1 <= t <= n_nodes):
-                raise InputError(f"edge {eid} endpoint ({o}, {t}) outside 1..{n_nodes}")
             by_pair.setdefault((o, t), []).append(eid)
         base, order = K2Tree.build_with_order(n_nodes, by_pair.keys(), k)
         multi_bits = []
@@ -69,11 +74,12 @@ class MultiEdgeK2Tree:
         more = []
         bounds = [0]
         for pair in order:
-            ids = sorted(by_pair[pair])
+            ids = by_pair[pair]
             if len(ids) == 1:
                 multi_bits.append(0)
                 last.append(ids[0])
             else:
+                ids.sort()
                 multi_bits.append(1)
                 more.extend(ids)
                 last.append(len(more))

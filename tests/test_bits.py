@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from attk2.bits import BitSequence, DynBitSequence
+from attk2.bits import _CHUNK_BITS, BitSequence, DynBitSequence, _pack_bits
 from attk2.errors import CorruptFileError, NotFoundError
 
 
@@ -107,6 +107,28 @@ def test_wire_form_rejects_bad_padding():
         BitSequence.from_bytes(corrupted)
     with pytest.raises(CorruptFileError):
         BitSequence.from_bytes(data[:10])
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 2048, 4097])
+def test_pack_bits_against_bit_by_bit(n):
+    """`_pack_bits` against setting each bit of each word in turn, on values
+    whose truth is not a bool's, on bytes and on a generator; both bitmaps
+    built from them hold the same bits, the dynamic one in whole chunks."""
+    rng = random.Random(n)
+    values = [rng.choice((0, 1, 2, "x", "", None, True, False)) for _ in range(n)]
+    words = [0] * ((n + 63) // 64)
+    for i, v in enumerate(values):
+        if v:
+            words[i >> 6] |= 1 << (i & 63)
+    want = b"".join(w.to_bytes(8, "little") for w in words)
+    as_bytes = bytes(rng.choice((1, 7, 255)) if v else 0 for v in values)
+    for given in (values, (v for v in values), as_bytes, bytearray(as_bytes)):
+        assert _pack_bits(given) == (want, n)
+    bits = [1 if v else 0 for v in values]
+    assert BitSequence(values).to_bits() == bits and BitSequence(values)._words == words
+    d = DynBitSequence(values)
+    assert d.to_bits() == bits and (d.n, d.ones) == (n, sum(bits))
+    assert d._lens == ([min(_CHUNK_BITS, n - i) for i in range(0, n, _CHUNK_BITS)] or [0])
 
 
 def test_dyn_insert_examples():

@@ -41,12 +41,75 @@ def test_full_two_by_two():
 
 
 def test_build_rejects_bad_input():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^cell \(0, 1\) outside 4x4 matrix$"):
         K2Tree.build(4, [(0, 1)], 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^cell \(1, 5\) outside 4x4 matrix$"):
         K2Tree.build(4, [(1, 5)], 2)
-    with pytest.raises(InputError):
+    # the first cell out of range is named, wherever the extremes lie
+    with pytest.raises(InputError, match=r"^cell \(3, 9\) outside 4x4 matrix$"):
+        K2Tree.build(4, iter([(1, 1), (3, 9), (0, 0), (2, 2)]), 2)
+    with pytest.raises(InputError, match=r"^cell \(1, 1\) outside 0x0 matrix$"):
+        K2Tree.build(0, [(1, 1)], 3)
+    with pytest.raises(InputError, match=r"^k must be at least 2, got 1$"):
         K2Tree.build(4, [], 1)
+    with pytest.raises(InputError, match=r"^matrix side must be non-negative, got -1$"):
+        K2Tree.build(-1, [], 2)
+
+
+def _reference_build(n_logical, cells, k):
+    """T bits, L bits and the leaf order by the direct definition: split the
+    cells into k² buckets per block, level by level, as the build did before
+    it sorted cell codes."""
+    n = k
+    while n < n_logical:
+        n *= k
+    k2 = k * k
+    t_bits, l_bits = [], []
+    blocks = [sorted({(r - 1, c - 1) for r, c in cells})]
+    size = n
+    while size > k:
+        sub = size // k
+        next_blocks = []
+        for block in blocks:
+            buckets = [[] for _ in range(k2)]
+            for r, c in block:
+                buckets[(r // sub % k) * k + c // sub % k].append((r, c))
+            t_bits.extend(1 if bucket else 0 for bucket in buckets)
+            next_blocks.extend(bucket for bucket in buckets if bucket)
+        blocks = next_blocks
+        size = sub
+    for block in blocks:
+        leaf = [0] * k2
+        for r, c in block:
+            leaf[r % k * k + c % k] = 1
+        l_bits.extend(leaf)
+    return t_bits, l_bits, [(r + 1, c + 1) for block in blocks for r, c in block]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("side", [0, 1, 2, "k", "k+1", 16, 17, 64, 65, 200])
+def test_build_matches_the_bucketing_reference(k, side):
+    """The code-sorted build against `_reference_build`: T, L and the leaf
+    order, on empty, one-cell, duplicate-cell, full-block, random and
+    generator input."""
+    n = {"k": k, "k+1": k + 1}.get(side, side)
+    rng = random.Random(n * 10 + k)
+    inputs = [[]]
+    if n:
+        block = min(n, k)
+        inputs += [
+            [(n, n)],
+            [(1, n), (n, 1), (1, n), (n, 1), (1, n)],
+            [(r, c) for r in range(1, block + 1) for c in range(1, block + 1)],
+            [(r, c) for r in range(n - block + 1, n + 1) for c in range(1, block + 1)] * 2,
+            [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)],
+            [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if rng.random() < 0.3],
+        ]
+    for cells in inputs:
+        want_t, want_l, want_order = _reference_build(n, cells, k)
+        for given in (cells, (rc for rc in cells)):
+            t, order = K2Tree.build_with_order(n, given, k)
+            assert (t.T.to_bits(), t.L.to_bits(), order) == (want_t, want_l, want_order)
 
 
 def test_eleven_by_eleven_padding():

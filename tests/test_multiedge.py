@@ -83,6 +83,13 @@ def test_duplicate_edge_id_rejected():
         MultiEdgeK2Tree.build(3, [(1, 1, 4)])
 
 
+def test_build_names_the_first_offender():
+    with pytest.raises(InputError, match=r"^duplicate edge id 2$"):
+        MultiEdgeK2Tree.build(3, iter([(4, 1, 2), (2, 2, 3), (2, 1, 1), (4, 3, 3)]))
+    with pytest.raises(InputError, match=r"^edge 7 endpoint \(2, 0\) outside 1..3$"):
+        MultiEdgeK2Tree.build(3, [(1, 1, 2), (7, 2, 0), (8, 9, 1)])
+
+
 def _read_back(rel):
     """The relations written and read again through the store's codec."""
     w = io._Writer()
