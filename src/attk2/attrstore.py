@@ -29,12 +29,16 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import is_not
 from typing import Iterable
 
 from .errors import CorruptFileError, InputError
-from .k2 import DynK2Tree, K2Tree
+from .k2 import DynK2Tree, K2Tree, _cells
+
+
+def _two_values(elem_id: int) -> CorruptFileError:
+    return CorruptFileError(f"element {elem_id} takes two values of one dense attribute")
 
 
 class SparseAttribute:
@@ -77,6 +81,11 @@ class SparseAttribute:
         values[pos] = value
         if value is not None:
             self.lex_index.insert(self._slot(value, pos), pos)
+
+    def items(self) -> list[tuple[int, str]]:
+        """(id, value) of every present value, ids ascending."""
+        present = map(is_not, self.values, repeat(None))
+        return list(compress(enumerate(self.values, self.limit), present))
 
     def _slot(self, value: str, pos: int) -> int:
         """Where position pos, holding `value`, sits (or goes) in lex_index."""
@@ -159,10 +168,29 @@ class DenseAttributeMatrix:
         """The column of the element's one in columns c1..c2, or None."""
         hits = self.matrix.row_leaves(elem_id, c1, c2)
         if len(hits) > 1:
-            raise CorruptFileError(
-                f"element {elem_id} takes two values of one dense attribute"
-            )
+            raise _two_values(elem_id)
         return hits[0][0] if hits else None
+
+    def rows(self) -> dict[int, dict[str, str]]:
+        """Every element's values, {id: {attribute: value}}, from one `_cells`
+        pass over the tree. Raises `CorruptFileError` at the lowest element
+        with two ones in one attribute's block; a one past the last block,
+        which no `get` reads, is left out."""
+        out: dict[int, dict[str, str]] = {}
+        if self.matrix is None:
+            return out
+        limits = self.col_limits
+        for row, col in sorted(_cells(self.matrix)):
+            a = bisect_left(limits, col)
+            if a == len(limits):
+                continue
+            got = out.setdefault(row, {})
+            att = self.atts[a]
+            if att in got:
+                raise _two_values(row)
+            values = self.col_values[a]
+            got[att] = values[col - limits[a] + len(values) - 1]
+        return out
 
     def get(self, elem_id: int, att: str):
         """Value of the attribute for the element, or None."""
@@ -202,6 +230,22 @@ class DynDenseAttribute:
         self.tree = DynK2Tree(k=k)
         self.values: list[str] = []
         self._col_of: dict[str, int] = {}
+
+    @classmethod
+    def build(cls, ranks: list[int], values: list[str], k: int = 2) -> "DynDenseAttribute":
+        """What `set` of each value at its rank, in order, builds; the ranks
+        ascend and repeat none."""
+        attr = cls.__new__(cls)
+        attr.values = list(dict.fromkeys(values))  # columns in first-seen order
+        attr._col_of = dict(zip(attr.values, count(1)))
+        cells = zip(ranks, map(attr._col_of.__getitem__, values))
+        attr.tree = DynK2Tree.build_with_order(cells, k)[0]
+        return attr
+
+    def items(self) -> list[tuple[int, str]]:
+        """(rank, value) of every one, from one `_cells` pass."""
+        values = self.values
+        return [(rank, values[col - 1]) for rank, col in _cells(self.tree)]
 
     def set(self, rank: int, value):
         """Last-write-wins assignment (None clears); unseen values open a new

@@ -8,11 +8,19 @@ each element's rank within its label, so a select maps ranks back to ids
 and never meets another label's elements. Removing an edge
 tombstones its id: the id is never reused, its type-table entry stays (so
 ranks of later edges are stable) and the id is reported not-found afterwards.
+
+A store filled from a bundle (`queries.replay_bundle`, hence `query
+--dynamic`) is not built by insertion: `load` lays out each structure in one
+pass, the type tables, each value store and the relations, whose k²-trees
+come from the static tree's Z-order build (`k2._layout`). Inserting the same
+elements into an empty store gives the same store, bit for bit. An id never
+allocated, like a removed one, is not found.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 
 from .attrstore import DynDenseAttribute, SparseAttribute
 from .errors import InputError, NotFoundError
@@ -94,6 +102,25 @@ class DynAttK2Graph:
         for att, value in attrs:
             self._store_value(EDGE, edge_id, label, att, value)
         return edge_id
+
+    def load(self, nodes, edges):
+        """Add the elements of a bundle to a store that holds none yet, in one
+        pass per structure. The store equals, bit for bit, the one that
+        `add_node` of each node and then `add_edge` of each edge builds.
+
+        nodes are (label, attrs) and edges (id, label, origin, target,
+        attrs), each in id order, so the edge ids are 1, 2, ...; the leaf
+        lists hold those id objects, and an id map holding them as well
+        costs no int of its own. The records must keep `graph.check_bundle`'s
+        rules, which are not checked again.
+        """
+        if self.node_schema.count or self.edge_schema.count:
+            raise InputError("load needs a store without elements")
+        self._load_values(NODE, list(map(itemgetter(0), nodes)), map(itemgetter(1), nodes))
+        self._load_values(EDGE, list(map(itemgetter(1), edges)), map(itemgetter(4), edges))
+        self.edge_sources.extend(map(itemgetter(2), edges))
+        self.edge_targets.extend(map(itemgetter(3), edges))
+        self.relations = DynMultiEdge.build(map(itemgetter(0, 2, 3), edges), self.k)
 
     def set_attribute(self, kind: str, elem_id: int, att: str, value: str):
         """Last-write-wins update of one attribute value."""
@@ -234,6 +261,29 @@ class DynAttK2Graph:
         label; None when att is not in the label's schema."""
         info = self._schema(kind).attribute_info(label, att)
         return None if info is None else self._stores(kind, info[1])[(label, att)]
+
+    def _load_values(self, kind: str, labels: list[str], attrs):
+        """Register elements of the labels, in order, and build each (label,
+        attribute) store from the values they take, by rank."""
+        ranks = self._schema(kind).register_elements(labels)
+        columns: dict[tuple[str, str], tuple[list, list]] = {}  # ranks, values
+        for label, rank, pairs in zip(labels, ranks, attrs):
+            for att, value in pairs:
+                column = columns.get((label, att))
+                if column is None:
+                    column = columns[(label, att)] = ([], [])
+                column[0].append(rank)
+                column[1].append(value)
+        for (label, att), (ranks, values) in columns.items():
+            dense = self._dense_kind[att]
+            if dense:
+                store = DynDenseAttribute.build(ranks, values, self.k)
+            else:  # a list up to the highest rank set, as `set` leaves it
+                by_rank = [None] * ranks[-1]
+                for rank, value in zip(ranks, values):
+                    by_rank[rank - 1] = value
+                store = SparseAttribute(label, att, 1, by_rank)
+            self._stores(kind, dense)[(label, att)] = store
 
     def _store_value(self, kind: str, elem_id: int, label: str, att: str, value: str):
         rank = self._schema(kind).rank_in_label(elem_id)[1]

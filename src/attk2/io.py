@@ -260,17 +260,40 @@ def export_bundle(store, node_ext, edge_ext) -> InputBundle:
 
     node_ext/edge_ext map store ids to the external ids the bundle carries.
     Absent values are left out, so `build_graph` on the result rebuilds the
-    same static store.
+    same static store. Values are read one store at a time, not one
+    `get_attribute` per (element, attribute): a dense tree in one
+    `k2._cells` pass, which for the static store raises `CorruptFileError`
+    at the lowest element with two values of one attribute, as that
+    element's row read would.
     """
     ends = {eid: (u, v) for eid, u, v in store.relations.all_triples()}
 
+    def values_of(kind, schema) -> dict[int, dict[str, str]]:
+        """{id: {attribute: value}} of every value the kind's elements take."""
+        sparse = store._sparse(kind).items()
+        dense = store._dense(kind)
+        if isinstance(dense, DenseAttributeMatrix):  # sparse lists by id
+            rows = dense.rows()
+            for (_, att), values in sparse:
+                for i, value in values.items():
+                    rows.setdefault(i, {})[att] = value
+            return rows
+        rows = {}  # the dynamic store: a list or a tree per (label, attribute), by rank
+        for (label, att), values in chain(sparse, dense.items()):
+            ids = schema.ids_of(label)
+            for rank, value in values.items():
+                rows.setdefault(ids[rank - 1], {})[att] = value
+        return rows
+
     def side(kind, schema):
         declared = [(label, schema.attrs_of(label)) for label in store.get_types(kind)]
+        values = values_of(kind, schema)
+        none = {}
         rows = []
         for label, atts in declared:
             for i in store.scan(kind, label):
-                got = ((a, store.get_attribute(kind, i, a)) for a, _ in atts)
-                rows.append((i, label, [(a, v) for a, v in got if isinstance(v, str)]))
+                got = values.get(i, none)
+                rows.append((i, label, [(a, got[a]) for a, _ in atts if a in got]))
         return declared, rows
 
     node_schema, nodes = side(NODE, store.node_schema)

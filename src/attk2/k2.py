@@ -31,7 +31,10 @@ ascending prefix order: the Z-order of Brisaboa, Ladra & Navarro (Inf. Syst.
 2014). The build sorts the codes once and takes each depth's prefixes from
 the depth below with one floor division and `dict.fromkeys`; each child sets
 one byte in its parent's k²-byte block, and `bits._pack_bits` packs the
-bytes. The sorted codes give the leaf order too.
+bytes. The sorted codes give the leaf order too. T and L depend only on the
+cells and the side, so `_layout` builds both trees: `DynK2Tree` wraps the
+same bytes in its dynamic bitmaps, at the side that `set`'s growth reaches,
+and a loaded dynamic store takes no descent per cell.
 
 A static k=2 row takes its own walk in `K2Tree.row_leaves`, which reads the
 words inline: the row picks the same half of every block of one level, so the
@@ -186,6 +189,36 @@ def _cells(tree) -> list[tuple[int, int]]:
     return [(row + 1, col + 1) for row, col, _ in blocks[1 + tree.T.ones :]]
 
 
+def _layout(cells: list, rows: list, cols: list, n: int, k: int):
+    """T and L, one byte per bit, of the side-n tree over the 1-based cells
+    (rows and cols their two columns), and the distinct cells in leaf order:
+    the build of both tree classes, by sorted cell codes."""
+    k2 = k * k
+    # spread[x]: the base-k digits of x - 1 as base-k² digits, so that the
+    # code k·spread[r] + spread[c] of cell (r, c) spells its path
+    spread = [0]
+    while len(spread) < n:
+        spread = [s * k2 + d for s in spread for d in range(k)]
+    spread.insert(0, 0)
+    highs = map(mul, map(spread.__getitem__, rows), repeat(k))
+    cell_of = dict(zip(map(add, highs, map(spread.__getitem__, cols)), cells))
+    # levels[j]: the distinct j-digit prefixes of the codes, ascending;
+    # the last holds the codes themselves, the first the root
+    levels = [sorted(cell_of)]
+    while k ** len(levels) < n:
+        levels.append(list(dict.fromkeys(map(floordiv, levels[-1], repeat(k2)))))
+    levels.append([0])
+    levels.reverse()
+    blocks = []
+    for parents, children in zip(levels, levels[1:]):
+        start = dict(zip(parents, count(0, k2)))  # each parent's block
+        bits = bytearray(len(parents) * k2)
+        for code in children:
+            bits[start[code // k2] + code % k2] = 1
+        blocks.append(bits)
+    return b"".join(blocks[:-1]), blocks[-1], list(map(cell_of.__getitem__, levels[-1]))
+
+
 # Read methods both tree classes share; `_check_rc` holds each class's bounds.
 
 
@@ -243,32 +276,8 @@ class K2Tree:
             bad = (rc for rc in cells if not (1 <= rc[0] <= n_logical and 1 <= rc[1] <= n_logical))
             r, c = next(bad)
             raise InputError(f"cell ({r}, {c}) outside {n_logical}x{n_logical} matrix")
-        n = _padded_side(n_logical, k)
-        k2 = k * k
-        # spread[x]: the base-k digits of x - 1 as base-k² digits, so that the
-        # code k·spread[r] + spread[c] of cell (r, c) spells its path
-        spread = [0]
-        while len(spread) < n:
-            spread = [s * k2 + d for s in spread for d in range(k)]
-        spread.insert(0, 0)
-        highs = map(mul, map(spread.__getitem__, rows), repeat(k))
-        cell_of = dict(zip(map(add, highs, map(spread.__getitem__, cols)), cells))
-        # levels[j]: the distinct j-digit prefixes of the codes, ascending;
-        # the last holds the codes themselves, the first the root
-        levels = [sorted(cell_of)]
-        while k ** len(levels) < n:
-            levels.append(list(dict.fromkeys(map(floordiv, levels[-1], repeat(k2)))))
-        levels.append([0])
-        levels.reverse()
-        blocks = []
-        for parents, children in zip(levels, levels[1:]):
-            start = dict(zip(parents, count(0, k2)))  # each parent's block
-            bits = bytearray(len(parents) * k2)
-            for code in children:
-                bits[start[code // k2] + code % k2] = 1
-            blocks.append(bits)
-        tree = cls(k, n_logical, BitSequence(b"".join(blocks[:-1])), BitSequence(blocks[-1]))
-        return tree, list(map(cell_of.__getitem__, levels[-1]))
+        t, l, order = _layout(cells, rows, cols, _padded_side(n_logical, k), k)
+        return cls(k, n_logical, BitSequence(t), BitSequence(l)), order
 
     @property
     def ones(self) -> int:
@@ -460,6 +469,23 @@ class DynK2Tree:
         else:
             self.T = DynBitSequence([0] * k2)
             self.L = DynBitSequence()
+
+    @classmethod
+    def build_with_order(
+        cls, cells: Iterable[tuple[int, int]], k: int = 2
+    ) -> tuple["DynK2Tree", list[tuple[int, int]]]:
+        """The tree `set` builds from ``DynK2Tree(k=k)`` over the 1-based
+        cells, in any order, plus the distinct cells in leaf order. Its side
+        is the padded side of the highest coordinate, where `set`'s growth
+        stops; with no cells it is the empty tree of side k."""
+        cells = list(cells)
+        rows = list(map(itemgetter(0), cells))
+        cols = list(map(itemgetter(1), cells))
+        tree = cls(max(rows + cols, default=0), k)
+        t, l, order = _layout(cells, rows, cols, tree.n, k)
+        tree.T = DynBitSequence(t)
+        tree.L = DynBitSequence(l)
+        return tree, order
 
     @property
     def bit_size(self) -> int:

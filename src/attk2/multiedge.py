@@ -33,6 +33,21 @@ def _neighbor_cols(self, u: int, c1: int, c2: int) -> list[int]:
     return [col for col, _ in self.base.row_leaves(u, c1, c2)]
 
 
+def _ids_by_pair(triples: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], list[int]]:
+    """Each (origin, target)'s edge ids, in the order of the triples. A list
+    starts as ``[eid]``, as `DynMultiEdge.add_edge` makes it, so a bulk-built
+    dynamic store holds lists of the same size."""
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid, u, v in triples:
+        pair = (u, v)
+        ids = by_pair.get(pair)
+        if ids is None:
+            by_pair[pair] = [eid]
+        else:
+            ids.append(eid)
+    return by_pair
+
+
 class MultiEdgeK2Tree:
     """Static multigraph adjacency: base k²-tree plus Multi/Last/More."""
 
@@ -65,9 +80,7 @@ class MultiEdgeK2Tree:
             bad = (x for x in triples if not (1 <= x[1] <= n_nodes and 1 <= x[2] <= n_nodes))
             eid, o, t = next(bad)
             raise InputError(f"edge {eid} endpoint ({o}, {t}) outside 1..{n_nodes}")
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for eid, o, t in triples:
-            by_pair.setdefault((o, t), []).append(eid)
+        by_pair = _ids_by_pair(triples)
         base, order = K2Tree.build_with_order(n_nodes, by_pair.keys(), k)
         multi_bits = []
         last = []
@@ -136,6 +149,17 @@ class DynMultiEdge:
     def __init__(self, k: int = 2):
         self.base = DynK2Tree(k=k)
         self.lists: list[list[int]] = []
+
+    @classmethod
+    def build(cls, triples: Iterable[tuple[int, int, int]], k: int = 2) -> "DynMultiEdge":
+        """What `add_edge` on each (edge_id, origin, target), in order, builds:
+        one list per pair, its ids in that order, in leaf order. The lists
+        hold the given id objects; edge ids must be unique."""
+        by_pair = _ids_by_pair(triples)
+        rel = cls.__new__(cls)
+        rel.base, order = DynK2Tree.build_with_order(by_pair, k)
+        rel.lists = list(map(by_pair.__getitem__, order))
+        return rel
 
     def add_edge(self, eid: int, u: int, v: int):
         """Record edge eid from u to v, setting the base cell when new."""

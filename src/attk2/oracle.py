@@ -113,7 +113,7 @@ class NaiveStore:
         labels = self.node_labels if kind == NODE else self.edge_labels
         dead = self.dead_nodes if kind == NODE else self.dead_edges
         if elem_id not in labels:
-            raise IndexError(f"id {elem_id} out of range")
+            raise NotFoundError(f"id {elem_id} out of range")
         if elem_id in dead:
             raise NotFoundError(f"{kind} {elem_id} was removed")
         schema = self.node_schema if kind == NODE else self.edge_schema
@@ -168,7 +168,7 @@ class NaiveStore:
     def get_type(self, kind, elem_id):
         labels = self._labels(kind)
         if elem_id not in labels:
-            raise IndexError(f"id {elem_id} out of range")
+            raise NotFoundError(f"id {elem_id} out of range")
         if elem_id in self._dead(kind):
             raise NotFoundError(f"{kind} {elem_id} was removed")
         return labels[elem_id]

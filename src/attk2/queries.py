@@ -147,12 +147,13 @@ class DynamicRunner:
 def replay_bundle(
     bundle: InputBundle, k: int = 2, node_order=None, edge_order=None
 ) -> DynamicRunner:
-    """Check a bundle (`graph.check_bundle`) and build a dynamic store by
-    inserting its content element by element.
+    """Check a bundle (`graph.check_bundle`) and build a dynamic store of its
+    content with `DynAttK2Graph.load`, which lays out each structure in one
+    pass and gives what inserting the elements one by one, in id order, does.
 
-    The default order sorts elements by (label, external id), which makes the
-    dynamic ids coincide with the static store's internal ids; explicit orders
-    exercise arbitrary insertion sequences.
+    Ids follow the element order. The default order sorts elements by
+    (label, external id), which makes the dynamic ids coincide with the
+    static store's internal ids; explicit orders give other id assignments.
     """
     from .dyngraph import DynAttK2Graph  # off the import path of static queries
 
@@ -172,12 +173,17 @@ def replay_bundle(
             return sorted(records, key=lambda r: (r[1], r[0]))
         return [records[i] for i in order]
 
-    node_ids = {}
-    for ext, label, attrs in ordered(bundle.nodes, node_order):
-        node_ids[ext] = g.add_node(label, attrs)
-    edge_ids = {}
-    for ext, label, src, tgt, attrs in ordered(bundle.edges, edge_order):
-        edge_ids[ext] = g.add_edge(label, node_ids[src], node_ids[tgt], attrs)
+    nodes = ordered(bundle.nodes, node_order)
+    edges = ordered(bundle.edges, edge_order)
+    node_ids = dict(zip([r[0] for r in nodes], range(1, len(nodes) + 1)))
+    edge_ids = dict(zip([r[0] for r in edges], range(1, len(edges) + 1)))
+    g.load(
+        [(label, attrs) for _, label, attrs in nodes],
+        [
+            (eid, label, node_ids[src], node_ids[tgt], attrs)
+            for eid, (_, label, src, tgt, attrs) in zip(edge_ids.values(), edges)
+        ],
+    )
     return DynamicRunner(g, node_ids, edge_ids)
 
 

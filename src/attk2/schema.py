@@ -100,7 +100,7 @@ class TypeTable:
 
     def type_of(self, elem_id: int) -> str:
         if not 1 <= elem_id <= self.count:
-            raise IndexError(f"id {elem_id} out of range 1..{self.count}")
+            raise NotFoundError(f"id {elem_id} out of range 1..{self.count}")
         return self.labels[bisect_left(self.upper_limits, elem_id)]
 
     def dense_names(self) -> list[str]:
@@ -155,6 +155,18 @@ class DynTypeTable:
         self._ids[code].append(len(self._codes))
         return len(self._codes)
 
+    def register_elements(self, labels: list[str]) -> list[int]:
+        """`register_element` of each label in turn, the labels all known;
+        returns each element's 1-based rank among its label's ids."""
+        codes = array("I", map(self._code_of.__getitem__, labels))
+        ranks = []
+        for elem_id, code in enumerate(codes, len(self._codes) + 1):
+            ids = self._ids[code]
+            ids.append(elem_id)
+            ranks.append(len(ids))
+        self._codes.extend(codes)
+        return ranks
+
     def label_list(self) -> list[str]:
         return sorted(self._atts)
 
@@ -173,7 +185,7 @@ class DynTypeTable:
 
     def _code(self, elem_id: int) -> int:
         if not 1 <= elem_id <= len(self._codes):
-            raise IndexError(f"id {elem_id} out of range 1..{len(self._codes)}")
+            raise NotFoundError(f"id {elem_id} out of range 1..{len(self._codes)}")
         return self._codes[elem_id - 1]
 
     def type_of(self, elem_id: int) -> str:

@@ -340,9 +340,9 @@ def test_criterion_4_bit_structure_suites():
             with pytest.raises(NotFoundError):
                 t.select_in_label(label, rank)
     for elem in (0, len(seq) + 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(NotFoundError):
             t.type_of(elem)
-        with pytest.raises(IndexError):
+        with pytest.raises(NotFoundError):
             t.rank_in_label(elem)
     elapsed = time.monotonic() - t0
     report("criterion 4: bit-structure suites", elapsed)

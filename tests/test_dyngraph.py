@@ -9,8 +9,9 @@ from attk2.dyngraph import DynAttK2Graph
 from attk2.errors import InputError, NotFoundError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, UNDEFINED, build_graph
+from attk2.io import InputBundle
 from attk2.oracle import NaiveStore
-from attk2.queries import replay_bundle
+from attk2.queries import DynamicRunner, format_result, replay_bundle
 
 from conftest import edges_between, running_bundle
 
@@ -352,3 +353,179 @@ def test_mutation_stream_matches_oracle():
                 g.get_attribute(EDGE, j, att)
         else:
             assert g.get_attribute(EDGE, j, att) == want
+
+
+# -- bulk replay against insertion ------------------------------------------------
+
+
+def _reference_replay(bundle, k=2, node_order=None, edge_order=None):
+    """The insertion replay, through the public API only: declare the
+    schema, then `add_node` and `add_edge` element by element."""
+    g = DynAttK2Graph(k=k)
+    for kind, schema in ((NODE, bundle.node_schema), (EDGE, bundle.edge_schema)):
+        for label, atts in schema:
+            (g.add_node_type if kind == NODE else g.add_edge_type)(label)
+            for att, dense in atts:
+                g.add_attribute(kind, label, att, dense)
+
+    def ordered(records, order):
+        if order is None:
+            return sorted(records, key=lambda r: (r[1], r[0]))
+        return [records[i] for i in order]
+
+    node_ids = {}
+    for ext, label, attrs in ordered(bundle.nodes, node_order):
+        node_ids[ext] = g.add_node(label, attrs)
+    edge_ids = {}
+    for ext, label, src, tgt, attrs in ordered(bundle.edges, edge_order):
+        edge_ids[ext] = g.add_edge(label, node_ids[src], node_ids[tgt], attrs)
+    return DynamicRunner(g, node_ids, edge_ids)
+
+
+def _tree_fields(tree):
+    return tree.k, tree.n, tree.T.to_bits(), tree.L.to_bits()
+
+
+def _assert_same_store(got, want):
+    """Field by field: every tree's side and bits, the leaf lists, the edge
+    endpoints, the type tables and every value store."""
+    assert _tree_fields(got.relations.base) == _tree_fields(want.relations.base)
+    assert got.relations.lists == want.relations.lists
+    assert got.edge_sources == want.edge_sources
+    assert got.edge_targets == want.edge_targets
+    for kind in (NODE, EDGE):
+        a, b = got._schema(kind), want._schema(kind)
+        assert (a._codes, a._ids) == (b._codes, b._ids)
+        sparse, ref = got._sparse(kind), want._sparse(kind)
+        assert list(sparse) == list(ref)
+        for key, store in sparse.items():
+            assert store.values == ref[key].values
+            assert store.lex_index == ref[key].lex_index
+        dense, ref = got._dense(kind), want._dense(kind)
+        assert list(dense) == list(ref)
+        for key, store in dense.items():
+            assert store.values == ref[key].values
+            assert list(store._col_of.items()) == list(ref[key]._col_of.items())
+            assert _tree_fields(store.tree) == _tree_fields(ref[key].tree)
+
+
+def _edge_case_bundle(case, k):
+    """A small bundle for one edge case of the bulk build. Every case keeps
+    a node and an edge label with no elements, and a dense and a sparse
+    attribute that no element takes."""
+    node_schema = [
+        ("A", [("name", False), ("tier", True), ("nick", False), ("rank", True)]),
+        ("B", [("name", False)]),
+        ("Void", [("tier", True)]),
+    ]
+    edge_schema = [("E", [("w", True), ("note", False)]), ("F", []), ("Unused", [])]
+    if case == "no-edges":
+        nodes = [(f"n{i}", "AB"[i % 2], [("name", f"x{i % 3}")]) for i in range(7)]
+        return InputBundle(node_schema, edge_schema, nodes, [])
+    if case == "single-level":  # every coordinate of every tree is at most k
+        nodes = [(f"n{i}", "A", [("tier", f"t{i % 2}")]) for i in range(k)]
+        edges = [
+            ("e1", "E", "n0", f"n{k - 1}", [("w", "1")]),
+            ("e2", "E", "n0", f"n{k - 1}", [("w", "2"), ("note", "p")]),
+            ("e3", "F", f"n{k - 1}", f"n{k - 1}", []),
+        ]
+        return InputBundle(node_schema, edge_schema, nodes, edges)
+    # "power-of-k": the highest node id, dense rank and dense column are k²
+    side = k * k
+    nodes = [(f"n{i:02d}", "A", [("tier", f"t{i:02d}")]) for i in range(side)]
+    nodes.append(("b", "B", [("name", "only")]))
+    edges = [
+        ("e1", "E", f"n{side - 1:02d}", f"n{side - 1:02d}", [("w", "x")]),
+        ("e2", "F", "n00", f"n{side - 1:02d}", []),
+    ]
+    return InputBundle(node_schema, edge_schema, nodes, edges)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("case", ["no-edges", "single-level", "power-of-k"])
+def test_bulk_replay_equals_insertion_on_edge_cases(case, k):
+    bundle = _edge_case_bundle(case, k)
+    got = replay_bundle(bundle, k)
+    want = _reference_replay(bundle, k)
+    _assert_same_store(got.graph, want.graph)
+    assert (got.node_ids, got.edge_ids) == (want.node_ids, want.edge_ids)
+    if case == "single-level":
+        assert got.graph.relations.base.n == k and not got.graph.relations.base.T.n
+    if case == "power-of-k":
+        assert got.graph.relations.base.n == k * k
+        assert got.graph.node_dense[("A", "tier")].tree.n == k * k
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bulk_replay_equals_insertion_in_every_order(k):
+    data = generate(
+        nodes=150, edges=600, node_types=4, edge_types=5, attrs=6, seed=7,
+        queries_per_kind=0,
+    )
+    bundle = data.bundle
+    rng = random.Random(28 + k)
+    orders = [(None, None)]
+    for _ in range(3):
+        norder = list(range(len(bundle.nodes)))
+        eorder = list(range(len(bundle.edges)))
+        rng.shuffle(norder)
+        rng.shuffle(eorder)
+        orders.append((norder, eorder))
+    for norder, eorder in orders:
+        got = replay_bundle(bundle, k, norder, eorder)
+        want = _reference_replay(bundle, k, norder, eorder)
+        _assert_same_store(got.graph, want.graph)
+        assert (got.node_ids, got.edge_ids) == (want.node_ids, want.edge_ids)
+
+
+def _answers(runner, scripts):
+    out = []
+    for name in sorted(scripts):
+        for op in scripts[name]:
+            try:
+                out.append(format_result(runner.run(op[0], op[1:])))
+            except NotFoundError as exc:
+                out.append(f"!{exc}")
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bulk_replay_takes_writes_like_insertion(tmp_path, k):
+    """One write stream on a bulk-built and an insertion-built store: the
+    stores stay equal field by field, answer the eight query kinds alike
+    and freeze to the same bytes."""
+    from attk2 import io
+
+    data = generate(
+        nodes=120, edges=400, node_types=3, edge_types=3, attrs=6, seed=11,
+        queries_per_kind=25,
+    )
+    runners = [replay_bundle(data.bundle, k), _reference_replay(data.bundle, k)]
+    declared = [
+        (kind, label, att, dense)
+        for kind, schema in ((NODE, data.bundle.node_schema), (EDGE, data.bundle.edge_schema))
+        for label, atts in schema
+        for att, dense in atts
+    ]
+    assert {dense for *_, dense in declared} == {False, True}
+    for r in runners:
+        g = r.graph
+        u, v = g.edge_sources[0], g.edge_targets[0]
+        edge_label = g.get_type(EDGE, 1)
+        fresh = g.add_node(g.get_type(NODE, 1))
+        parallel = g.add_edge(edge_label, u, v)
+        g.add_edge(edge_label, fresh, u)  # a new pair, in a row no edge had
+        for kind, label, att, _ in declared:
+            for i, elem in enumerate(g.scan(kind, label)[:4]):
+                g.set_attribute(kind, elem, att, f"w{i % 2}")
+        g.remove_edge(parallel)
+        g.remove_edge(2)
+        lonely = g.add_node(g.get_type(NODE, 1))
+        g.remove_node(lonely)
+    got, want = runners
+    _assert_same_store(got.graph, want.graph)
+    assert _answers(got, data.scripts) == _answers(want, data.scripts)
+    paths = [tmp_path / "bulk.db", tmp_path / "insert.db"]
+    for r, path in zip(runners, paths):
+        io.save_db(r.graph.freeze(), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

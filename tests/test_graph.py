@@ -36,8 +36,36 @@ def test_edge_id_ranges(store):
 def test_get_type(store):
     assert store.get_type(NODE, 4) == "Researcher"
     assert store.get_type(EDGE, 6) == "Reviewer"
-    with pytest.raises(IndexError):
+    with pytest.raises(NotFoundError):
         store.get_type(NODE, 6)
+
+
+def test_an_id_never_allocated_is_not_found_in_all_three_stores():
+    """Ids 0 and one past the last of each kind: every read that takes an
+    element id, and the two stores' `set_attribute`, raise NotFoundError."""
+    from attk2.queries import replay_bundle
+
+    bundle = running_bundle()
+    stores = [
+        build_graph(bundle),
+        replay_bundle(bundle).graph,
+        NaiveStore.from_bundle(bundle),
+    ]
+    for store in stores:
+        for kind, count in ((NODE, 5), (EDGE, 7)):
+            for elem in (0, count + 1):
+                with pytest.raises(NotFoundError):
+                    store.get_type(kind, elem)
+                with pytest.raises(NotFoundError):
+                    store.get_attribute(kind, elem, "Name")
+                if hasattr(store, "set_attribute"):
+                    with pytest.raises(NotFoundError):
+                        store.set_attribute(kind, elem, "Name", "x")
+        for node in (0, 6):
+            with pytest.raises(NotFoundError):
+                store.neighbors("Paper", node)
+            with pytest.raises(NotFoundError):
+                store.related("Author", node)
 
 
 def test_get_attribute(store):

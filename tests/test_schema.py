@@ -35,9 +35,9 @@ def test_type_of(nodes_table):
     assert nodes_table.type_of(1) == "Paper"
     assert nodes_table.type_of(2) == "Paper"
     assert nodes_table.type_of(3) == "Researcher"
-    with pytest.raises(IndexError):
+    with pytest.raises(NotFoundError):
         nodes_table.type_of(0)
-    with pytest.raises(IndexError):
+    with pytest.raises(NotFoundError):
         nodes_table.type_of(6)
 
 
