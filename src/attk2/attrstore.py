@@ -7,7 +7,9 @@ index: an ``array('I')`` of the positions of the present values only, sorted
 by value and equal values by position, so a select is one C-level bisect
 and a walk over its answer, and a dynamic write takes three bisects and one
 insert or delete for each index entry it changes. The index is derived from
-the values, at build and at load alike.
+the values on the attribute's first select, wherever the attribute came
+from (build, load, `freeze()` or the dynamic bulk load), and a loaded value
+list is split from its string table on its first read.
 
 Dense attributes of one kind share a single k²-tree whose rows are element
 ids and whose columns are value columns, grouped in per-attribute blocks; a
@@ -44,60 +46,92 @@ def _two_values(elem_id: int) -> CorruptFileError:
 class SparseAttribute:
     """Values of one sparse attribute over a contiguous id range that starts
     at `limit`: a label's ids in the static store, its element ranks (limit
-    1) in the dynamic one."""
+    1) in the dynamic one.
 
-    __slots__ = ("label", "att", "limit", "values", "lex_index")
+    `values` is the value list, or a callable that returns it: `io.load_db`
+    hands over each table unsplit, and the first read or save calls it once
+    and keeps the list in its place. The value-order index is sorted on the
+    first select, or the first `lex_index` read; until then `set` writes
+    only the value. Concurrent first readers may each derive an equal copy,
+    and the last one kept serves later reads."""
 
-    def __init__(self, label: str, att: str, limit: int, values: list):
+    __slots__ = ("label", "att", "limit", "_values", "_index")
+
+    def __init__(self, label: str, att: str, limit: int, values):
         self.label = label
         self.att = att
         self.limit = limit
-        self.values = values
-        present = compress(range(len(values)), map(is_not, values, repeat(None)))
-        # positions of the present values by value, equal values by position
-        # (the sort is stable)
-        self.lex_index = array("I", sorted(present, key=values.__getitem__))
+        self._values = values
+        self._index = None
+
+    @property
+    def values(self) -> list:
+        values = self._values
+        if values.__class__ is not list:
+            values = self._values = values()
+        return values
+
+    @property
+    def lex_index(self) -> array:
+        idx = self._index
+        if idx is None:
+            values = self.values
+            present = compress(range(len(values)), map(is_not, values, repeat(None)))
+            # positions of the present values by value, equal values by
+            # position (the sort is stable)
+            idx = self._index = array("I", sorted(present, key=values.__getitem__))
+        return idx
 
     def get(self, elem_id: int):
+        values = self._values
+        if values.__class__ is not list:
+            values = self.values
         pos = elem_id - self.limit
-        if not 0 <= pos < len(self.values):
+        if not 0 <= pos < len(values):
             raise IndexError(
                 f"id {elem_id} outside range of {self.label}.{self.att}"
             )
-        return self.values[pos]
+        return values[pos]
 
     def set(self, elem_id: int, value):
         """Last-write-wins assignment (None clears), extending the list with
         absents up to the id."""
-        pos = elem_id - self.limit
         values = self.values
+        # read before the write: an index sorted after it holds the new value
+        idx = self._index
+        pos = elem_id - self.limit
         if pos >= len(values):
             values.extend([None] * (pos + 1 - len(values)))
         old = values[pos]
         if old == value:
             return
+        if idx is None:
+            values[pos] = value
+            return
         if old is not None:
-            del self.lex_index[self._slot(old, pos)]
+            del idx[self._slot(idx, old, pos)]
         values[pos] = value
         if value is not None:
-            self.lex_index.insert(self._slot(value, pos), pos)
+            idx.insert(self._slot(idx, value, pos), pos)
 
     def items(self) -> list[tuple[int, str]]:
         """(id, value) of every present value, ids ascending."""
-        present = map(is_not, self.values, repeat(None))
-        return list(compress(enumerate(self.values, self.limit), present))
+        values = self.values
+        present = map(is_not, values, repeat(None))
+        return list(compress(enumerate(values, self.limit), present))
 
-    def _slot(self, value: str, pos: int) -> int:
-        """Where position pos, holding `value`, sits (or goes) in lex_index."""
-        idx = self.lex_index
-        key = self.values.__getitem__
+    def _slot(self, idx: array, value: str, pos: int) -> int:
+        """Where position pos, holding `value`, sits (or goes) in index idx."""
+        key = self._values.__getitem__
         lo = bisect_left(idx, value, key=key)
         return bisect_left(idx, pos, lo, bisect_right(idx, value, lo, key=key))
 
     def select(self, value: str) -> list[int]:
         """Ascending ids whose value equals `value`."""
-        idx = self.lex_index
-        vals = self.values
+        idx = self._index
+        if idx is None:
+            idx = self.lex_index
+        vals = self._values  # a list once the index is sorted
         n = len(idx)
         lo = bisect_left(idx, value, key=vals.__getitem__)
         # a walk, not a second bisect: most answers hold a value or two

@@ -29,11 +29,12 @@ u64 byte size and one UTF-8 blob in which every entry is followed by the
 separator; an absent sparse value is the marker alone, so it stays distinct
 from "". The writer picks the two smallest code points outside the
 surrogates that occur in no entry (in practice \\x00 and \\x01), and the loader
-cuts the decoded blob with one `str.split`. Each attrs section holds one
-string table per sparse attribute of its schema, in schema order (labels
-ascending, each label's sparse attributes in declaration order), then the
-column values of each attribute name the schema declares dense, names
-ascending, then the dense k²-tree if those columns hold any value. A k²-tree
+cuts the decoded blob with one `str.split` (a sparse value list's on its first
+read). Each attrs section holds one string table per sparse attribute of its
+schema, in schema order (labels ascending, each label's sparse attributes in
+declaration order), then the column values of each attribute name the schema
+declares dense, names ascending, then the dense k²-tree if those columns hold
+any value. A k²-tree
 is u32 k and the bitmaps T and L. The relations section holds the k²-tree,
 the Multi bitmap, then Last and More as packed u32 values. The id-map section
 holds the node and then the edge id map.
@@ -44,10 +45,12 @@ its bitmap's length; the relations k²-tree's logical side is the node count
 and a dense tree's the larger of its kind's element and column counts, and
 each side is padded to a power of k; a sparse value list holds one entry per id of its label and
 an id map one per element; Last holds one entry per bit of Multi, and More
-ends where the last multi leaf's run ends. The sparse value-order indexes are
-sorted at load, and a dense column's element ids are read from the tree on
-its first select. The writer is deterministic, so saving a loaded store
-reproduces the file byte for byte. Files of versions 1 to 6 are rejected;
+ends where the last multi leaf's run ends. Load checks each sparse value
+list's table and count but leaves the table unsplit: the attribute splits it
+on its first read or save and sorts its value-order index on its first
+select, and a dense column's element ids are read from the tree on its first
+select. The writer is deterministic, so saving a loaded store reproduces the
+file byte for byte. Files of versions 1 to 6 are rejected;
 rebuild them from text.
 
 Beyond the checksums, load checks in O(size) the structure the queries rely
@@ -74,6 +77,7 @@ import sys
 import tempfile
 import zlib
 from array import array
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, ge, lt, setitem
 from pathlib import Path
@@ -367,6 +371,19 @@ class _Writer:
         return b"".join(self.parts)
 
 
+def _entries(blob: str, sep: str, marker: str, absent: bool) -> list:
+    """The entries of a table that `_Reader.table` checked. Absent entries
+    become None where `absent` allows them and are corrupt elsewhere."""
+    values = blob.split(sep)
+    values.pop()  # every entry ends in the separator, so the last part is empty
+    if marker in values:
+        if not absent:
+            raise CorruptFileError("absent entry in a list that must be complete")
+        gaps = compress(range(len(values)), map(eq, values, repeat(marker)))
+        any(map(setitem, repeat(values), gaps, repeat(None)))  # any() only drains the map
+    return values
+
+
 class _Reader:
     def __init__(self, buf: bytes, offset: int = 0, end: int | None = None):
         self.buf = buf
@@ -396,23 +413,20 @@ class _Reader:
         except UnicodeDecodeError:
             raise CorruptFileError("string is not valid UTF-8") from None
 
-    def texts(self, absent: bool = False) -> list:
-        """One string table; absent entries become None where `absent`
-        allows them and are corrupt elsewhere. The caller checks the count."""
+    def table(self) -> tuple[str, str, str]:
+        """One string table, unsplit: (blob, separator, marker), with the
+        terminators checked and the blob decoded and ending in its separator."""
         sep, marker = self.u32(), self.u32()
         if sep == marker or not (_is_scalar(sep) and _is_scalar(marker)):
             raise CorruptFileError("string table terminators are not two distinct characters")
-        values = self.text().split(chr(sep))
-        # every entry ends in the separator, so the last part is empty
-        if values.pop():
+        blob, sep = self.text(), chr(sep)
+        if blob and blob[-1] != sep:
             raise CorruptFileError("string table does not end in its separator")
-        marker = chr(marker)
-        if marker in values:
-            if not absent:
-                raise CorruptFileError("absent entry in a list that must be complete")
-            gaps = compress(range(len(values)), map(eq, values, repeat(marker)))
-            any(map(setitem, repeat(values), gaps, repeat(None)))  # any() only drains the map
-        return values
+        return blob, sep, chr(marker)
+
+    def texts(self, absent: bool = False) -> list:
+        """One string table's entries; the caller checks the count."""
+        return _entries(*self.table(), absent)
 
     def bits(self) -> BitSequence:
         bs, self.pos = BitSequence.from_bytes(self.buf[: self.end], self.pos)
@@ -519,11 +533,12 @@ def _read_attrs(r: _Reader, schema: TypeTable):
     sparse = {}
     for label, att in _sparse_order(schema):
         lo, hi = schema.ids_of(label)
-        values = r.texts(absent=True)
-        if len(values) != hi - lo + 1:
+        blob, sep, marker = r.table()
+        if blob.count(sep) != hi - lo + 1:
             raise CorruptFileError(
                 f"sparse attribute {label}.{att} does not match its label's id range"
             )
+        values = partial(_entries, blob, sep, marker, True)  # called on the first read
         sparse[(label, att)] = SparseAttribute(label, att, lo, values)
     atts = schema.dense_names()
     col_values = [r.texts() for _ in atts]
@@ -570,15 +585,19 @@ def _read_relations(r: _Reader, nodes: int, edges: int) -> MultiEdgeK2Tree:
     if not all(map(lt, bounds, bounds[1:])):
         raise CorruptFileError("multi-edge runs do not tile the More array")
     more = r.u32_array(bounds[-1])
-    singles = list(compress(last, flags.translate(_FLIP)))
-    for ids in (singles, more):
-        if ids and (min(ids) < 1 or max(ids) > edges):
-            raise CorruptFileError(f"edge id outside 1..{edges} in the relations")
+    once = f"the relations do not hold each edge id 1..{edges} once"
+    outside = f"edge id outside 1..{edges} in the relations"
     # counted first, so that a corrupt edge count cannot size the mask
-    if len(singles) + len(more) != edges or (
-        _mask(edges + 1, chain(singles, more)).count(1) != edges
-    ):
-        raise CorruptFileError(f"the relations do not hold each edge id 1..{edges} once")
+    if multi.n - multi.ones + len(more) != edges:
+        raise CorruptFileError(once)
+    try:
+        seen = _mask(edges + 1, chain(compress(last, flags.translate(_FLIP)), more))
+    except IndexError:  # an id past the edges
+        raise CorruptFileError(outside) from None
+    if seen[0]:  # an id of 0
+        raise CorruptFileError(outside)
+    if seen.count(1) != edges:
+        raise CorruptFileError(once)
     # More may step down only where a run starts (`related_targets` bisects runs)
     inside = _mask(len(more) + 1, bounds, 0)[1:-1]  # 1 where More[p] continues a run
     if any(compress(map(ge, more, islice(more, 1, None)), inside)):

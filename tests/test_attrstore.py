@@ -1,6 +1,8 @@
 """Sparse attribute lists and dense attribute matrices."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -200,6 +202,83 @@ def test_sparse_set_replay_against_mapping():
         for want in {value, rng.choice(list(ref.values()) or ["x0"])} - {None}:
             assert sa.select(want) == sorted(e for e, v in ref.items() if v == want)
     assert sorted(ref) == [e for e in range(4, 4 + len(sa.values)) if sa.get(e) is not None]
+
+
+@pytest.mark.parametrize("unsplit", [False, True], ids=["list", "unsplit"])
+def test_sets_before_the_first_select_leave_the_index_to_it(unsplit):
+    # writes to an attribute whose index no select has sorted yet write the
+    # value only; the first select sorts what they left
+    rng = random.Random(29)
+    values = [rng.choice(["a", "b", "c", None]) for _ in range(60)]
+    present = [i for i, v in enumerate(values) if v is not None]
+    sa = SparseAttribute("L", "a", 4, (lambda: list(values)) if unsplit else list(values))
+    sa.set(4 + present[0], None)  # clear
+    sa.set(4 + present[1], "d" if values[present[1]] != "d" else "e")  # overwrite
+    sa.set(4 + len(values) + 3, "b")  # a new value past the end
+    assert sa._index is None
+    fresh = SparseAttribute("L", "a", 4, list(sa.values))
+    for value in ("a", "b", "c", "d", "e", "z"):
+        assert sa.select(value) == fresh.select(value)
+    assert sa.lex_index == fresh.lex_index
+    sa.set(5, "z")  # the index is kept from here on
+    assert sa.select("z") == SparseAttribute("L", "a", 4, list(sa.values)).select("z")
+
+
+def test_concurrent_first_reads_split_and_sort_once(tmp_path):
+    """Readers on several threads start together on freshly loaded stores,
+    whose sparse tables are unsplit and unsorted; with the interpreter
+    switching threads as often as it can, every get and select still
+    answers as on one thread."""
+    data = generate(
+        nodes=300, edges=900, node_types=3, edge_types=3, attrs=6, seed=4,
+        queries_per_kind=0,
+    )
+    path = tmp_path / "g.db"
+    io.save_db(build_graph(data.bundle), path)
+    ref = io.load_db(path)
+    probes = {}
+    for key, sa in [*ref.node_sparse.items(), *ref.edge_sparse.items()]:
+        items = sa.items()
+        ids = [i for i, _ in items[:: max(1, len(items) // 8)]] + [sa.limit]
+        wanted = {v for _, v in items[:: max(1, len(items) // 4)]} | {"no such value"}
+        probes[key] = [("get", i, sa.get(i)) for i in ids]
+        probes[key] += [("select", v, sa.select(v)) for v in sorted(wanted)]
+    assert len(probes) >= 2
+    stores = [io.load_db(path) for _ in range(30)]
+    start = threading.Barrier(6, timeout=60)
+    wrong = []
+
+    def read(seed):
+        order = random.Random(seed)
+        for g in stores:
+            sparse = {**g.node_sparse, **g.edge_sparse}
+            keys = list(probes)
+            order.shuffle(keys)
+            start.wait()
+            for key in keys:
+                sa = sparse[key]
+                calls = list(probes[key])
+                order.shuffle(calls)
+                for name, arg, want in calls:
+                    try:
+                        got = getattr(sa, name)(arg)
+                    except Exception as exc:  # a torn derivation reads out of range
+                        got = exc
+                    if got != want:
+                        wrong.append((key, name, arg, got))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(s,)) for s in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 def test_dyn_dense_set_and_update():

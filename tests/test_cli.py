@@ -271,8 +271,10 @@ def test_gen_determinism_via_cli(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_gen_and_the_dynamic_store():
+    # every CLI request imports attk2.cli afresh and pays for what it pulls in
     src = str(Path(attk2.__file__).resolve().parents[1])
-    code = "import sys, attk2.cli; print(sorted({'attk2.gen', 'attk2.dyngraph'} & set(sys.modules)))"
+    unused = "{'attk2.gen', 'attk2.dyngraph', 'attk2.oracle'}"
+    code = f"import sys, attk2.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

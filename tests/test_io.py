@@ -886,3 +886,81 @@ def test_round_trip_keeps_non_ascii_empty_and_absent_values(tmp_path):
     assert loaded.select(NODE, "Paper", "Title", "") == [1]
     io.save_db(loaded, path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "at, raw, message",
+    [
+        (0, struct.pack("<I", 1), "terminators are not two distinct characters"),
+        (16 + 34, b"s", "does not end in its separator"),
+        (16, b"\xff", "not valid UTF-8"),
+        (16 + 11, b"\x00", "Paper.Title does not match its label's id range"),
+    ],
+    ids=["separator-is-marker", "no-final-separator", "invalid-utf8", "one-entry-too-many"],
+)
+def test_load_checks_each_sparse_table_before_any_read(tmp_path, store, capsys, at, raw, message):
+    # the node attributes open with Paper.Title's sparse table: u32 separator
+    # 0, u32 absent marker 1, u64 byte size 35, then its two values, each
+    # followed by the separator; a table load leaves unsplit is still
+    # checked whole, so no query needs to read it
+    path = tmp_path / "t.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    offset, _ = io.section_table(data)[io.SEC_NODE_ATTRS]
+    assert data[offset + 16 : offset + 51] == b"Compressing graphs\x00Graph databases\x00"
+    path.write_bytes(_patched(data, io.SEC_NODE_ATTRS, at, raw))
+    script = tmp_path / "script.tsv"
+    script.write_text("GetNodeType\t3\n", encoding="utf-8")
+    _rejected_everywhere(capsys, path, script, message)
+
+
+def test_load_checks_the_relations_ids_in_one_pass(tmp_path, store, capsys):
+    """The edge ids are counted from Multi and More alone, then marked in one
+    mask whose bounds find an id of 0 or past the edges, wherever it sits."""
+    path = tmp_path / "r.db"
+    io.save_db(store, path)
+    data = path.read_bytes()
+    # Multi 000100, Last (1, 6, 7, 2, 2, 3) and More (4, 5), as in
+    # test_load_checks_the_relations_arrays
+    arrays = struct.pack("<QQ6I2I", 6, 0b1000, 1, 6, 7, 2, 2, 3, 4, 5)
+    rel, _ = io.section_table(data)[io.SEC_RELATIONS]
+    last = data.index(arrays, rel) - rel + 16
+    more = last + 6 * 4
+    # the edge schema's first label and its element count
+    schema, _ = io.section_table(data)[io.SEC_EDGE_SCHEMA]
+    author = data.index(struct.pack("<Q", 6) + b"Author" + struct.pack("<Q", 3), schema) - schema
+    u32 = struct.Struct("<I").pack
+    cases = [
+        ("outside 1..7", io.SEC_RELATIONS, more, u32(0)),  # an id of 0 in a run of More
+        ("outside 1..7", io.SEC_RELATIONS, last + 4, u32(8)),  # a single id one past the edges
+        # eight edges in the schema, seven in the relations
+        ("each edge id 1..8 once", io.SEC_EDGE_SCHEMA, author + 14, struct.pack("<Q", 4)),
+    ]
+    script = tmp_path / "script.tsv"
+    script.write_text("GetEdgeTypes\n", encoding="utf-8")
+    for message, tag, at, raw in cases:
+        path.write_bytes(_patched(data, tag, at, raw))
+        _rejected_everywhere(capsys, path, script, message)
+
+
+@pytest.mark.parametrize("source", ["generated", "empty-and-absent"])
+def test_a_store_saved_before_any_read_is_unchanged(tmp_path, source):
+    """Saving a freshly loaded store, every sparse table still unsplit and no
+    index sorted, writes the bytes it was loaded from."""
+    if source == "generated":
+        bundle = generate(
+            nodes=400, edges=1500, node_types=3, edge_types=4, attrs=6, seed=7,
+            queries_per_kind=0,
+        ).bundle
+    else:
+        bundle = running_bundle()
+        bundle.nodes[0] = ("1", "Paper", [("Title", "")])  # Topic absent
+    path = tmp_path / "g.db"
+    io.save_db(build_graph(bundle), path)
+    g = io.load_db(path)
+    sparse = [*g.node_sparse.values(), *g.edge_sparse.values()]
+    assert sparse and not any(sa._values.__class__ is list for sa in sparse)
+    assert not any(sa._index is not None for sa in sparse)
+    again = tmp_path / "again.db"
+    io.save_db(g, again)
+    assert again.read_bytes() == path.read_bytes()
