@@ -35,7 +35,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import is_not
 from typing import Iterable
 
-from .errors import CorruptFileError, InputError
+from .errors import CorruptFileError
 from .k2 import DynK2Tree, K2Tree, _cells
 
 
@@ -166,17 +166,13 @@ class DenseAttributeMatrix:
         k: int = 2,
         declared: Iterable[str] = (),
     ) -> "DenseAttributeMatrix":
-        """triples: (element id, attribute, value); one value per (id, att).
+        """triples: (element id, attribute, value), one per (id, att), as
+        `check_bundle`'s rule that an attribute is given once keeps them.
         The attributes are the `declared` names and those the triples take,
         sorted; `build_graph` declares its schema's `dense_names()`."""
         per_att: dict[str, dict[int, str]] = {att: {} for att in declared}
         for elem_id, att, value in triples:
-            row = per_att.setdefault(att, {})
-            if elem_id in row:
-                raise InputError(
-                    f"element {elem_id} takes two values for dense attribute {att!r}"
-                )
-            row[elem_id] = value
+            per_att.setdefault(att, {})[elem_id] = value
         atts = sorted(per_att)
         col_values = []
         cells = []

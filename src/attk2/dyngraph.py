@@ -38,8 +38,9 @@ class DynAttK2Graph:
 
     def __init__(self, k: int = 2):
         self.k = k
-        self.node_schema = DynTypeTable()
-        self.edge_schema = DynTypeTable()
+        kinds: dict[str, bool] = {}  # one kind per attribute name, across both
+        self.node_schema = DynTypeTable(kinds)
+        self.edge_schema = DynTypeTable(kinds)
         self.node_sparse: dict[tuple[str, str], SparseAttribute] = {}
         self.edge_sparse: dict[tuple[str, str], SparseAttribute] = {}
         self.node_dense: dict[tuple[str, str], DynDenseAttribute] = {}
@@ -49,7 +50,6 @@ class DynAttK2Graph:
         self.edge_targets = array("I")  # edge id - 1 -> target node
         self.dead_edges: set[int] = set()
         self.dead_nodes: set[int] = set()
-        self._dense_kind: dict[str, bool] = {}  # attribute name -> dense flag
 
     # -- schema mutations ----------------------------------------------------
 
@@ -61,19 +61,9 @@ class DynAttK2Graph:
 
     def add_attribute(self, kind: str, label: str, att: str, dense: bool):
         """Declare an attribute for a label; existing elements stay absent.
-
-        Dense/sparse classification is a property of the attribute name and
-        must agree across every label using it.
+        An attribute name is dense or sparse under every label of both kinds.
         """
-        known = self._dense_kind.get(att)
-        if known is not None and known != dense:
-            raise InputError(
-                f"attribute {att!r} is already registered as "
-                f"{'dense' if known else 'sparse'}"
-            )
-        schema = self._schema(kind)
-        schema.add_attribute(label, att, dense)
-        self._dense_kind[att] = dense
+        self._schema(kind).add_attribute(label, att, dense)
         store = DynDenseAttribute(self.k) if dense else SparseAttribute(label, att, 1, [])
         self._stores(kind, dense)[(label, att)] = store
 
@@ -81,7 +71,7 @@ class DynAttK2Graph:
 
     def add_node(self, label: str, attrs=()) -> int:
         attrs = list(attrs)
-        self._check_attrs(NODE, label, attrs)
+        self.node_schema.check_attrs(label, attrs)
         node_id = self.node_schema.register_element(label)
         for att, value in attrs:
             self._store_value(NODE, node_id, label, att, value)
@@ -94,7 +84,7 @@ class DynAttK2Graph:
             raise NotFoundError(f"edge endpoints ({u}, {v}) must be existing nodes")
         if u in self.dead_nodes or v in self.dead_nodes:
             raise NotFoundError(f"edge endpoints ({u}, {v}) must be live nodes")
-        self._check_attrs(EDGE, label, attrs)
+        self.edge_schema.check_attrs(label, attrs)
         edge_id = self.edge_schema.register_element(label)
         self.edge_sources.append(u)
         self.edge_targets.append(v)
@@ -111,8 +101,9 @@ class DynAttK2Graph:
         nodes are (label, attrs) and edges (id, label, origin, target,
         attrs), each in id order, so the edge ids are 1, 2, ...; the leaf
         lists hold those id objects, and an id map holding them as well
-        costs no int of its own. The records must keep `graph.check_bundle`'s
-        rules, which are not checked again.
+        costs no int of its own. The schema is declared already, and the
+        records must keep `graph.check_bundle`'s rules: neither `check_attrs`
+        nor the endpoint checks of `add_edge` run again.
         """
         if self.node_schema.count or self.edge_schema.count:
             raise InputError("load needs a store without elements")
@@ -127,8 +118,7 @@ class DynAttK2Graph:
         schema = self._schema(kind)
         self._check_live(kind, elem_id)
         label = schema.type_of(elem_id)
-        if schema.attribute_info(label, att) is None:
-            raise InputError(f"attribute {att!r} is not in the schema of {label!r}")
+        schema.check_attrs(label, ((att, value),))
         self._store_value(kind, elem_id, label, att, value)
 
     def remove_edge(self, edge_id: int):
@@ -241,18 +231,6 @@ class DynAttK2Graph:
         if elem_id in self._dead(kind):
             raise NotFoundError(f"{kind} {elem_id} was removed")
 
-    def _check_attrs(self, kind: str, label: str, attrs):
-        schema = self._schema(kind)
-        seen = set()
-        for att, _value in attrs:
-            if schema.attribute_info(label, att) is None:
-                raise InputError(
-                    f"attribute {att!r} is not in the schema of {label!r}"
-                )
-            if att in seen:
-                raise InputError(f"attribute {att!r} given twice")
-            seen.add(att)
-
     def _stores(self, kind: str, dense: bool) -> dict:
         return self._dense(kind) if dense else self._sparse(kind)
 
@@ -265,7 +243,8 @@ class DynAttK2Graph:
     def _load_values(self, kind: str, labels: list[str], attrs):
         """Register elements of the labels, in order, and build each (label,
         attribute) store from the values they take, by rank."""
-        ranks = self._schema(kind).register_elements(labels)
+        schema = self._schema(kind)
+        ranks = schema.register_elements(labels)
         columns: dict[tuple[str, str], tuple[list, list]] = {}  # ranks, values
         for label, rank, pairs in zip(labels, ranks, attrs):
             for att, value in pairs:
@@ -275,7 +254,7 @@ class DynAttK2Graph:
                 column[0].append(rank)
                 column[1].append(value)
         for (label, att), (ranks, values) in columns.items():
-            dense = self._dense_kind[att]
+            dense = schema.attribute_info(label, att)[1]
             if dense:
                 store = DynDenseAttribute.build(ranks, values, self.k)
             else:  # a list up to the highest rank set, as `set` leaves it

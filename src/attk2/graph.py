@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .attrstore import DenseAttributeMatrix, SparseAttribute
 from .errors import InputError, NotFoundError
 from .multiedge import MultiEdgeK2Tree
-from .schema import TypeTable
+from .schema import DynTypeTable, TypeTable
 
 if TYPE_CHECKING:
     from .io import InputBundle
@@ -184,12 +184,12 @@ _WHO = {"node_schema": "node label", "edge_schema": "edge label", "nodes": "node
 
 
 def check_bundle(bundle: "InputBundle", where=None) -> None:
-    """Raise `InputError` at the first entry of the bundle that repeats a
-    label within a kind or an attribute within a label, declares an attribute
-    name dense in one place and sparse in another, repeats an external id
-    within a kind, or is an element whose label its kind does not declare,
-    whose endpoint is not a node, or whose attribute is outside its label's
-    schema or given twice.
+    """Raise `InputError` at the first entry of the bundle that breaks a
+    schema rule of `schema.DynTypeTable`, repeats an external id within a
+    kind, or is an element whose label its kind does not declare or whose
+    endpoint is not a node. The schema is declared, in order, into a node
+    and an edge table that share their attribute kinds, and each element's
+    attributes are checked against its label's (`DynTypeTable.check_attrs`).
 
     `where(part, i)` names the i-th entry of a part (an `InputBundle` field)
     at the head of the message; by default it is the label or the external id.
@@ -199,44 +199,37 @@ def check_bundle(bundle: "InputBundle", where=None) -> None:
             return f"{_WHO[part]} {getattr(bundle, part)[i][0]!r}"
 
     def fail(part, i, what):
-        raise InputError(f"{where(part, i)}: {what}")
+        raise InputError(f"{where(part, i)}: {what}") from None
 
     kinds: dict[str, bool] = {}
-    declared = {}
+    tables = {}
     for part, records in (("node_schema", "nodes"), ("edge_schema", "edges")):
-        atts_of = declared[records] = {}
+        table = tables[records] = DynTypeTable(kinds)
         for i, (label, atts) in enumerate(getattr(bundle, part)):
-            if label in atts_of:
-                fail(part, i, f"duplicate label {label!r}")
-            names = atts_of[label] = set()
-            for att, dense in atts:
-                if att in names:
-                    fail(part, i, f"duplicate attribute {att!r}")
-                if kinds.setdefault(att, bool(dense)) != bool(dense):
-                    fail(part, i, f"attribute {att!r} is declared both dense and sparse")
-                names.add(att)
+            try:
+                table.add_type(label)
+                for att, dense in atts:
+                    table.add_attribute(label, att, dense)
+            except InputError as exc:
+                fail(part, i, exc)
 
     nodes: set[str] = set()
     for part, ids in (("nodes", nodes), ("edges", set())):
-        atts_of = declared[part]
+        table = tables[part]
         for i, rec in enumerate(getattr(bundle, part)):
             ext, label = rec[0], rec[1]
             if ext in ids:
                 fail(part, i, f"duplicate {_WHO[part]} id {ext!r}")
             ids.add(ext)
-            names = atts_of.get(label)
-            if names is None:
+            if not table.has_label(label):
                 fail(part, i, f"undeclared label {label!r}")
             for end, node in zip(("source", "target"), rec[2:-1]):  # edges only
                 if node not in nodes:
                     fail(part, i, f"unknown {end} node {node!r}")
-            given = set()
-            for att, _ in rec[-1]:
-                if att not in names:
-                    fail(part, i, f"attribute {att!r} is not in the schema of label {label!r}")
-                if att in given:
-                    fail(part, i, f"attribute {att!r} given twice")
-                given.add(att)
+            try:
+                table.check_attrs(label, rec[-1])
+            except InputError as exc:
+                fail(part, i, exc)
 
 
 def build_graph(bundle: "InputBundle", k: int = 2) -> AttK2Graph:

@@ -59,12 +59,11 @@ last internal level (one rank per level) and no one lies in the padding rows
 or columns past the logical side (two rectangle descents); Multi has one bit
 per leaf of the relations tree; the multi runs tile More, each ascending; the
 leaves hold each edge id 1..edges exactly once; dense column values ascend
-bytewise; each schema section's labels ascend strictly and no label repeats
-an attribute name, and no attribute name is dense under one label and sparse
-under another, across both schema sections; each string table's separator
-and marker are two distinct code points UTF-8 can encode and its blob ends in
-the separator; each sparse value list holds one value per id of its label,
-and each id map one id per element, with no duplicate.
+bytewise; each schema section's labels ascend strictly, and the two sections
+keep `graph.check_bundle`'s schema rules, reported in its words; each string
+table's separator and marker are two distinct code points UTF-8 can encode
+and its blob ends in the separator; each sparse value list holds one value
+per id of its label, and each id map one id per element, with no duplicate.
 A dense element with two values in one attribute is found by the query that
 reads its row or its column (`attrstore.DenseAttributeMatrix`).
 """
@@ -89,7 +88,7 @@ from .errors import CorruptFileError, InputError
 from .graph import EDGE, NODE, AttK2Graph, IdMap, check_bundle
 from .k2 import K2Tree, _rect_leaves
 from .multiedge import MultiEdgeK2Tree
-from .schema import TypeTable, _mixed_kind
+from .schema import TypeTable
 
 MAGIC = b"ATTK2TRE"
 VERSION = 7
@@ -460,19 +459,18 @@ def _write_schema(w: _Writer, table: TypeTable):
             w.text(name)
 
 
-def _read_schema(r: _Reader) -> TypeTable:
+def _read_schema(r: _Reader) -> tuple[list, list, list]:
+    """The labels, their upper id limits and their (attribute, dense flag)
+    pairs, which `load_db` checks as a bundle's schema."""
     labels, counts, attrs = [], [], []
     for _ in range(r.u64()):
         labels.append(r.text())
         counts.append(r.u64())
         flags = r.bits().to_bits()  # one per attribute
-        names = [r.text() for _ in flags]
-        if len(set(names)) != len(names):
-            raise CorruptFileError(f"label {labels[-1]!r} repeats an attribute name")
-        attrs.append(list(zip(names, flags)))
+        attrs.append([(r.text(), dense) for dense in flags])
     if not all(map(lt, labels, labels[1:])):
         raise CorruptFileError("schema labels do not ascend strictly")
-    return TypeTable(labels, list(accumulate(counts)), attrs)
+    return labels, list(accumulate(counts)), attrs
 
 
 def _write_k2(w: _Writer, tree: K2Tree):
@@ -701,12 +699,13 @@ def load_db(path) -> AttK2Graph:
         r.done()
         return out
 
-    node_schema = section(SEC_NODE_SCHEMA, _read_schema)
-    edge_schema = section(SEC_EDGE_SCHEMA, _read_schema)
-    schemas = (node_schema, edge_schema)
-    att = _mixed_kind((lab, s.attrs_of(lab)) for s in schemas for lab in s.labels)
-    if att is not None:
-        raise CorruptFileError(f"attribute {att!r} is both dense and sparse in the schema")
+    schemas = [section(tag, _read_schema) for tag in (SEC_NODE_SCHEMA, SEC_EDGE_SCHEMA)]
+    entries = [list(zip(labels, atts)) for labels, _, atts in schemas]
+    try:
+        check_bundle(InputBundle(*entries, [], []))
+    except InputError as exc:
+        raise CorruptFileError(str(exc)) from None
+    node_schema, edge_schema = (TypeTable(*s) for s in schemas)
     node_sparse, node_dense = section(SEC_NODE_ATTRS, _read_attrs, node_schema)
     edge_sparse, edge_dense = section(SEC_EDGE_ATTRS, _read_attrs, edge_schema)
     relations = section(SEC_RELATIONS, _read_relations, node_schema.count, edge_schema.count)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Iterable
 
 from .bits import BitSequence
@@ -69,17 +68,9 @@ class MultiEdgeK2Tree:
         triples: Iterable[tuple[int, int, int]],
         k: int = 2,
     ) -> "MultiEdgeK2Tree":
-        """Build from (edge_id, origin, target) triples; edge ids must be unique."""
-        triples = list(triples)
-        eids, origins, targets = (list(map(itemgetter(i), triples)) for i in range(3))
-        if len(set(eids)) < len(eids):
-            seen = set()
-            eid = next(e for e in eids if e in seen or seen.add(e))  # add returns None
-            raise InputError(f"duplicate edge id {eid}")
-        if triples and not 1 <= min(origins + targets) <= max(origins + targets) <= n_nodes:
-            bad = (x for x in triples if not (1 <= x[1] <= n_nodes and 1 <= x[2] <= n_nodes))
-            eid, o, t = next(bad)
-            raise InputError(f"edge {eid} endpoint ({o}, {t}) outside 1..{n_nodes}")
+        """Build from (edge_id, origin, target) triples. The caller keeps the
+        edge ids distinct: `graph._assemble` numbers them 1, 2, ...; an
+        endpoint outside 1..n_nodes fails the k²-tree's cell check."""
         by_pair = _ids_by_pair(triples)
         base, order = K2Tree.build_with_order(n_nodes, by_pair.keys(), k)
         multi_bits = []

@@ -71,20 +71,20 @@ class NaiveStore:
         self.edge_schema[label] = []
 
     def add_attribute(self, kind, label, att, dense):
-        schema = self.node_schema if kind == NODE else self.edge_schema
+        schema = self._schema(kind)
         if label not in schema:
             raise NotFoundError(f"unknown label {label!r}")
         if any(a == att for a, _ in schema[label]):
             raise InputError(f"attribute {att!r} already declared for {label!r}")
+        for atts in (*self.node_schema.values(), *self.edge_schema.values()):
+            if any(a == att and bool(d) != bool(dense) for a, d in atts):
+                raise InputError(f"attribute {att!r} already has the other kind")
         schema[label].append((att, dense))
 
     def add_node(self, label, attrs=()):
         if label not in self.node_schema:
             raise NotFoundError(f"unknown label {label!r}")
-        valid = {a for a, _ in self.node_schema[label]}
-        for att, _ in attrs:
-            if att not in valid:
-                raise InputError(f"attribute {att!r} invalid for {label!r}")
+        self._check_given(self.node_schema[label], label, attrs)
         node_id = len(self.node_labels) + 1
         self.node_labels[node_id] = label
         for att, value in attrs:
@@ -98,10 +98,7 @@ class NaiveStore:
             raise NotFoundError(f"edge endpoints ({u}, {v}) must be existing nodes")
         if u in self.dead_nodes or v in self.dead_nodes:
             raise NotFoundError(f"edge endpoints ({u}, {v}) must be live nodes")
-        valid = {a for a, _ in self.edge_schema[label]}
-        for att, _ in attrs:
-            if att not in valid:
-                raise InputError(f"attribute {att!r} invalid for {label!r}")
+        self._check_given(self.edge_schema[label], label, attrs)
         edge_id = len(self.edge_labels) + 1
         self.edge_labels[edge_id] = label
         self.triples.append((edge_id, u, v))
@@ -110,17 +107,10 @@ class NaiveStore:
         return edge_id
 
     def set_attribute(self, kind, elem_id, att, value):
-        labels = self.node_labels if kind == NODE else self.edge_labels
-        dead = self.dead_nodes if kind == NODE else self.dead_edges
-        if elem_id not in labels:
-            raise NotFoundError(f"id {elem_id} out of range")
-        if elem_id in dead:
-            raise NotFoundError(f"{kind} {elem_id} was removed")
-        schema = self.node_schema if kind == NODE else self.edge_schema
-        if not any(a == att for a, _ in schema[labels[elem_id]]):
-            raise InputError(f"attribute {att!r} invalid for {labels[elem_id]!r}")
-        values = self.node_values if kind == NODE else self.edge_values
-        values[(elem_id, att)] = value
+        label = self.get_type(kind, elem_id)
+        if not any(a == att for a, _ in self._schema(kind)[label]):
+            raise InputError(f"attribute {att!r} invalid for {label!r}")
+        self._values(kind)[(elem_id, att)] = value
 
     def remove_edge(self, edge_id):
         if edge_id not in self.edge_labels or edge_id in self.dead_edges:
@@ -148,7 +138,18 @@ class NaiveStore:
         return self.dead_nodes if kind == NODE else self.dead_edges
 
     def _schema(self, kind):
+        if kind not in (NODE, "edge"):
+            raise InputError(f"no kind {kind!r}")
         return self.node_schema if kind == NODE else self.edge_schema
+
+    @staticmethod
+    def _check_given(schema, label, attrs):
+        names = [att for att, _ in attrs]
+        for att in names:
+            if not any(a == att for a, _ in schema):
+                raise InputError(f"attribute {att!r} invalid for {label!r}")
+        if len(set(names)) != len(names):
+            raise InputError("an attribute appears twice")
 
     def _values(self, kind):
         return self.node_values if kind == NODE else self.edge_values
@@ -166,6 +167,7 @@ class NaiveStore:
         )
 
     def get_type(self, kind, elem_id):
+        self._schema(kind)  # a kind other than node or edge is an input error
         labels = self._labels(kind)
         if elem_id not in labels:
             raise NotFoundError(f"id {elem_id} out of range")

@@ -13,6 +13,11 @@ Both tables hold one attribute registry: per label, a dict from each
 attribute name, in declaration order, to its 1-based ordinal and dense flag.
 The store file keeps the paper's form of it, the names plus a bitmap of the
 dense flags; `io` builds that bitmap when it writes and decodes it on load.
+
+The dynamic table states the schema rules, for every source of a schema: a
+bundle's (`graph.check_bundle` declares it into a fresh node and edge table),
+a store file's (`io.load_db` checks it as a bundle's) and the dynamic
+store's own declarations and inserts.
 """
 
 from __future__ import annotations
@@ -40,18 +45,6 @@ def _attrs_of(self, label: str) -> list[tuple[str, bool]]:
     return [(att, dense) for att, (_, dense) in atts.items()]
 
 
-def _mixed_kind(schemas) -> str | None:
-    """The first attribute name declared dense under one label and sparse
-    under another, over (label, [(attribute, dense flag)...]) pairs; None
-    when every name keeps one kind."""
-    kinds: dict[str, bool] = {}
-    for _, atts in schemas:
-        for att, dense in atts:
-            if kinds.setdefault(att, bool(dense)) != bool(dense):
-                return att
-    return None
-
-
 class TypeTable:
     """Static label registry with contiguous id ranges per label."""
 
@@ -76,8 +69,8 @@ class TypeTable:
     def build(
         cls, entries: list[tuple[str, int, list[tuple[str, bool]]]]
     ) -> "TypeTable":
-        """entries: (label, element count, [(attribute, dense flag)...]), the
-        labels distinct and no label repeating an attribute (`check_bundle`)."""
+        """entries: (label, element count, [(attribute, dense flag)...]) of a
+        schema that keeps `DynTypeTable`'s rules, as `check_bundle` leaves it."""
         ordered = sorted(entries, key=lambda e: e[0])
         uppers = list(accumulate(count for _, count, _ in ordered))
         return cls([e[0] for e in ordered], uppers, [e[2] for e in ordered])
@@ -115,16 +108,24 @@ class TypeTable:
 class DynTypeTable:
     """Growable label registry. Ids are only ever appended, so each label's
     ids form an ascending array: rank in a label is a bisect of it and
-    select an index into it."""
+    select an index into it.
 
-    __slots__ = ("_code_of", "_names", "_atts", "_codes", "_ids")
+    It states the schema rules: labels are distinct, a label's attributes
+    are distinct, an attribute name has one kind (dense or sparse) across
+    the tables that share `kinds`, and an element takes each attribute of
+    its label's schema at most once and no other."""
 
-    def __init__(self):
+    __slots__ = ("_code_of", "_names", "_atts", "_codes", "_ids", "_kinds")
+
+    def __init__(self, kinds: dict[str, bool] | None = None):
+        """kinds: attribute name -> dense flag, shared by a node and an edge
+        table so that one name keeps one kind across both."""
         self._code_of: dict[str, int] = {}  # label -> stable code
         self._names: list[str] = []  # code -> label
         self._atts: dict[str, dict[str, tuple[int, bool]]] = {}
         self._codes = array("I")  # id - 1 -> code of its label
         self._ids: list[array] = []  # code -> ascending ids of the label
+        self._kinds = {} if kinds is None else kinds
 
     @property
     def count(self) -> int:
@@ -132,7 +133,7 @@ class DynTypeTable:
 
     def add_type(self, label: str):
         if label in self._code_of:
-            raise InputError(f"label {label!r} already exists")
+            raise InputError(f"duplicate label {label!r}")
         self._code_of[label] = len(self._names)
         self._names.append(label)
         self._ids.append(array("I"))
@@ -143,8 +144,25 @@ class DynTypeTable:
         if atts is None:
             raise NotFoundError(f"unknown label {label!r}")
         if att in atts:
-            raise InputError(f"attribute {att!r} already declared for {label!r}")
+            raise InputError(f"duplicate attribute {att!r}")
+        dense = bool(dense)
+        if self._kinds.setdefault(att, dense) != dense:
+            raise InputError(f"attribute {att!r} is declared both dense and sparse")
         atts[att] = (len(atts) + 1, dense)
+
+    def check_attrs(self, label: str, attrs):
+        """Raise at the first (attribute, value) pair outside the label's
+        schema or naming an attribute a pair before it names."""
+        atts = self._atts.get(label)
+        if atts is None:
+            raise NotFoundError(f"unknown label {label!r}")
+        given = set()
+        for att, _ in attrs:
+            if att not in atts:
+                raise InputError(f"attribute {att!r} is not in the schema of label {label!r}")
+            if att in given:
+                raise InputError(f"attribute {att!r} given twice")
+            given.add(att)
 
     def register_element(self, label: str) -> int:
         """Append an element of the label; returns its sequential 1-based id."""

@@ -8,7 +8,6 @@ import pytest
 
 from attk2 import io
 from attk2.attrstore import DenseAttributeMatrix, DynDenseAttribute, SparseAttribute
-from attk2.errors import InputError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, build_graph
 from attk2.oracle import NaiveStore
@@ -103,11 +102,6 @@ def test_dense_select(edge_dense):
     assert edge_dense.select("Expertise", "High", 1, 5) == []
     assert edge_dense.select("Expertise", "Low", 1, 7) == []
     assert edge_dense.select("Projects", "5-10", 1, 7) == [4]
-
-
-def test_dense_one_value_per_element():
-    with pytest.raises(InputError):
-        DenseAttributeMatrix.build(3, [(1, "a", "x"), (1, "a", "y")])
 
 
 def test_dense_empty():

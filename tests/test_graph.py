@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from attk2.dyngraph import DynAttK2Graph
 from attk2.errors import InputError, NotFoundError
 from attk2.gen import generate
 from attk2.graph import EDGE, NODE, UNDEFINED, build_graph
@@ -112,70 +113,92 @@ def test_relations_layer_shape(store):
 
 # One row per bundle rule (`check_bundle`): the fault, then the entry it is
 # reported at by default and in the text written by `write_bundle`, then the
-# message that follows.
+# message that follows, and whether calls of the dynamic API can make the
+# fault. They cannot repeat an external id, which they do not take, and an
+# undeclared label or node is not found there rather than an input error.
 BUNDLE_FAULTS = [
     pytest.param(
         lambda b: b.node_schema.append(("Paper", [("Title", False), ("Topic", False)])),
-        "node label 'Paper'", "schema.tsv:3", "duplicate label 'Paper'",
+        "node label 'Paper'", "schema.tsv:3", "duplicate label 'Paper'", True,
         id="repeated-label",
     ),
     pytest.param(
         lambda b: b.edge_schema[1][1].append(("Projects", True)),
-        "edge label 'Colleague'", "schema.tsv:4", "duplicate attribute 'Projects'",
+        "edge label 'Colleague'", "schema.tsv:4", "duplicate attribute 'Projects'", True,
         id="repeated-attribute",
     ),
     pytest.param(  # sparse under Paper, then dense under Researcher
         lambda b: b.node_schema[0][1].append(("Position", False)),
         "node label 'Researcher'", "schema.tsv:2",
-        "attribute 'Position' is declared both dense and sparse",
+        "attribute 'Position' is declared both dense and sparse", True,
         id="sparse-then-dense",
     ),
     pytest.param(  # dense under Researcher, then sparse under an edge label
         lambda b: b.edge_schema[0][1].append(("Position", False)),
         "edge label 'Author'", "schema.tsv:3",
-        "attribute 'Position' is declared both dense and sparse",
+        "attribute 'Position' is declared both dense and sparse", True,
         id="dense-then-sparse",
     ),
     pytest.param(
         lambda b: b.nodes.append(("1", "Paper", [])),
-        "node '1'", "nodes.tsv:6", "duplicate node id '1'",
+        "node '1'", "nodes.tsv:6", "duplicate node id '1'", False,
         id="repeated-node-id",
     ),
     pytest.param(
         lambda b: b.edges.append(("7", "Author", "3", "1", [])),
-        "edge '7'", "edges.tsv:8", "duplicate edge id '7'",
+        "edge '7'", "edges.tsv:8", "duplicate edge id '7'", False,
         id="repeated-edge-id",
     ),
     pytest.param(
         lambda b: b.nodes.append(("9", "Ghost", [])),
-        "node '9'", "nodes.tsv:6", "undeclared label 'Ghost'",
+        "node '9'", "nodes.tsv:6", "undeclared label 'Ghost'", False,
         id="undeclared-label",
     ),
     pytest.param(  # a node label is not an edge label
         lambda b: b.edges.append(("8", "Paper", "3", "1", [])),
-        "edge '8'", "edges.tsv:8", "undeclared label 'Paper'",
+        "edge '8'", "edges.tsv:8", "undeclared label 'Paper'", False,
         id="undeclared-edge-label",
     ),
     pytest.param(
         lambda b: b.nodes[0][2].append(("Position", "Chair")),
-        "node '1'", "nodes.tsv:1", "attribute 'Position' is not in the schema of label 'Paper'",
+        "node '1'", "nodes.tsv:1",
+        "attribute 'Position' is not in the schema of label 'Paper'", True,
         id="attribute-outside-the-schema",
     ),
     pytest.param(
         lambda b: b.nodes[2][2].append(("Name", "P. Garcia")),
-        "node '3'", "nodes.tsv:3", "attribute 'Name' given twice",
+        "node '3'", "nodes.tsv:3", "attribute 'Name' given twice", True,
         id="attribute-given-twice",
     ),
     pytest.param(
         lambda b: b.edges.__setitem__(0, ("1", "Author", "nope", "1", [])),
-        "edge '1'", "edges.tsv:1", "unknown source node 'nope'",
+        "edge '1'", "edges.tsv:1", "unknown source node 'nope'", False,
         id="endpoint-not-a-node",
     ),
 ]
 
 
-@pytest.mark.parametrize("fault, entry, line, message", BUNDLE_FAULTS)
-def test_every_entry_point_rejects_a_bundle_fault_alike(tmp_path, fault, entry, line, message):
+def _declare_and_add(bundle):
+    """The bundle's schema declared and its elements added through the
+    dynamic API, in bundle order."""
+    g = DynAttK2Graph()
+    for kind, add_type, schema in (
+        (NODE, g.add_node_type, bundle.node_schema),
+        (EDGE, g.add_edge_type, bundle.edge_schema),
+    ):
+        for label, atts in schema:
+            add_type(label)
+            for att, dense in atts:
+                g.add_attribute(kind, label, att, dense)
+    ids = {ext: g.add_node(label, attrs) for ext, label, attrs in bundle.nodes}
+    for _, label, src, tgt, attrs in bundle.edges:
+        g.add_edge(label, ids[src], ids[tgt], attrs)
+
+
+@pytest.mark.parametrize("fault, entry, line, message, dynamic", BUNDLE_FAULTS)
+def test_every_entry_point_rejects_a_bundle_fault_alike(
+    tmp_path, fault, entry, line, message, dynamic
+):
     from attk2.io import load_input, write_bundle
     from attk2.queries import replay_bundle
 
@@ -191,6 +214,11 @@ def test_every_entry_point_rejects_a_bundle_fault_alike(tmp_path, fault, entry, 
         load_input(tmp_path)
     assert type(err.value) is InputError
     assert str(err.value) == f"{line}: {message}"
+    if dynamic:
+        with pytest.raises(InputError) as err:
+            _declare_and_add(bundle)
+        assert type(err.value) is InputError
+        assert str(err.value) == message
 
 
 def test_an_edge_to_an_unknown_node_is_rejected_by_both_stores(tmp_path, capsys):

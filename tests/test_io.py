@@ -798,7 +798,9 @@ def test_load_rejects_an_attribute_of_two_kinds(tmp_path, capsys):
     io.save_db(graph, path)
     script = tmp_path / "script.tsv"
     script.write_text("GetNodeAttribute\t1\tx\nGetNodeAttribute\t2\tx\n", encoding="utf-8")
-    _rejected_everywhere(capsys, path, script, "attribute 'x' is both dense and sparse")
+    _rejected_everywhere(
+        capsys, path, script, "node label 'B': attribute 'x' is declared both dense and sparse"
+    )
 
 
 def test_load_checks_the_schema_order(tmp_path, store, capsys):
@@ -814,7 +816,7 @@ def test_load_checks_the_schema_order(tmp_path, store, capsys):
     # second Title of Paper
     cases = {
         "labels do not ascend strictly": (b"Paper", b"Zaper", (io.SEC_NODE_SCHEMA,)),
-        "'Paper' repeats an attribute name": (b"Topic", b"Title", (io.SEC_NODE_SCHEMA,)),
+        "node label 'Paper': duplicate attribute 'Title'": (b"Topic", b"Title", (io.SEC_NODE_SCHEMA,)),
     }
     for message, (old, new, tags) in cases.items():
         bad = data
